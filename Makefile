@@ -13,7 +13,7 @@ vet:
 # Headline perf trajectory: the E3 frontier benchmark (naive and pebble
 # series), the E9 enumeration benchmark (string pipeline vs compiled
 # rows), the E10 engine benchmark (prepared vs one-shot execution), the
-# E11 storage benchmark (frozen CSR backend vs map backend), the E12
+# E11 storage benchmark (frozen CSR backend vs overlay-only graph), the E12
 # sharding benchmark (sharded backend vs frozen, per shard count), the
 # E13 serving benchmark (HTTP request latency per engine mode plus
 # the overload cell's shed%/p99 metrics), the E14 snapshot benchmark

@@ -353,14 +353,15 @@ func BenchmarkE10PreparedVsOneShot(b *testing.B) {
 }
 
 // BenchmarkE11FrozenBackend measures the frozen CSR storage backend
-// against the construction-time map backend on identical triple sets
-// (the E9 Erdős–Rényi shape at |G| = 65536): cold load (incremental
-// map construction vs counting-pass bulk load), MatchCountID probe
+// against the overlay-only graph (every triple in the overlay of an
+// empty base) on identical triple sets (the E9 Erdős–Rényi shape at
+// |G| = 65536): cold load (incremental overlay construction vs
+// counting-pass bulk load), MatchCountID probe
 // throughput over the full index-shape mix with full key diversity,
 // MatchID materialisation (the frozen backend returns zero-copy arena
 // ranges), and top-down enumeration. The headline numbers for the
-// storage layer: frozen count/match must beat the map backend with
-// fewer allocs/op.
+// storage layer: frozen count/match must beat the overlay with fewer
+// allocs/op.
 func BenchmarkE11FrozenBackend(b *testing.B) {
 	ts := bench.E11Triples(16384)
 	gm := rdf.GraphOf(ts...)

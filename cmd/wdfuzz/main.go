@@ -4,10 +4,10 @@
 // compositional semantics (both join strategies), the Lemma 1 subtree
 // enumeration, the top-down enumeration, and probes memberships with
 // the naive and pebble decision procedures. The top-down enumeration
-// additionally runs against every storage backend — the map graph, a
-// frozen clone, sharded clones at each -shards count, and overlay
+// additionally runs against every storage backend — the overlay-only
+// graph (every triple in the overlay of an empty base), a frozen clone, sharded clones at each -shards count, and overlay
 // twins of each (a sealed base carrying half the triples, the rest
-// applied as live deltas on the mutable overlay) — and the full row
+// applied as live deltas on the overlay) — and the full row
 // streams are diffed byte for byte (content AND order), so a
 // backend that returns the right set in the wrong order fails a trial.
 // With -planner (the default) each trial additionally diffs the query
@@ -128,7 +128,7 @@ func collectStream(f ptree.Forest, g *rdf.Graph) []rdf.Row {
 // triples plus a mutable delta overlay holding the rest. Replaying the
 // triples in insertion order (TriplesID, not the sorted Triples)
 // reproduces g's dictionary IDs exactly, so the twin's row stream is
-// directly comparable to the map reference — the overlay merge must be
+// directly comparable to the overlay-only reference — the overlay merge must be
 // unobservable just like the backends. shards ≤ 1 freezes the base;
 // otherwise it is sharded.
 func overlayTwin(g *rdf.Graph, shards int) *rdf.Graph {
@@ -148,7 +148,7 @@ func overlayTwin(g *rdf.Graph, shards int) *rdf.Graph {
 		og.Freeze()
 	}
 	for _, t := range ts[cut:] {
-		og.AddDeltaTriple(t.S.Value, t.P.Value, t.O.Value)
+		og.AddTriple(t.S.Value, t.P.Value, t.O.Value)
 	}
 	return og
 }
@@ -192,7 +192,7 @@ func checkTrial(trial int, p sparql.Pattern, g *rdf.Graph, shardCounts []int, pl
 		}
 	}
 	// Storage backends must be unobservable: the row stream over the
-	// map graph is the reference, and the frozen clone plus every
+	// overlay-only graph is the reference, and the frozen clone plus every
 	// sharded clone must reproduce it byte for byte — content and
 	// order — through the same compiled enumeration.
 	want := collectStream(f, g)
@@ -215,7 +215,7 @@ func checkTrial(trial int, p sparql.Pattern, g *rdf.Graph, shardCounts []int, pl
 	for _, b := range backends {
 		got := collectStream(f, b.g)
 		if len(got) != len(want) {
-			return report("%s stream has %d rows, map has %d", b.name, len(got), len(want))
+			return report("%s stream has %d rows, overlay-only has %d", b.name, len(got), len(want))
 		}
 		for i := range want {
 			if !slices.Equal(got[i], want[i]) {
@@ -231,7 +231,7 @@ func checkTrial(trial int, p sparql.Pattern, g *rdf.Graph, shardCounts []int, pl
 		all := append([]struct {
 			name string
 			g    *rdf.Graph
-		}{{"map", g}}, backends...)
+		}{{"overlay-only", g}}, backends...)
 		for _, b := range all {
 			fp := core.CompileForest(f, b.g)
 			heur := collectTuned(fp, hom.ModeHeuristic)
@@ -309,7 +309,7 @@ func checkFilterTrial(trial int, q sparql.Pattern, g *rdf.Graph, shardCounts []i
 	backends := []struct {
 		name string
 		g    *rdf.Graph
-	}{{"map", g}, {"frozen", g.Clone().Freeze()}, {"frozen+ovl", overlayTwin(g, 0)}}
+	}{{"overlay-only", g}, {"frozen", g.Clone().Freeze()}, {"frozen+ovl", overlayTwin(g, 0)}}
 	for _, n := range shardCounts {
 		backends = append(backends, struct {
 			name string

@@ -155,12 +155,9 @@ func main() {
 	if err != nil {
 		logger.Fatal(err)
 	}
-	backend := "map"
-	switch {
-	case g.Sharded():
+	backend := "frozen"
+	if g.Sharded() {
 		backend = fmt.Sprintf("sharded (%d shards)", g.ShardCount())
-	case g.Frozen():
-		backend = "frozen"
 	}
 	logger.Printf("serving %d triples (%s backend) on http://%s/sparql (gate %d)",
 		g.Len(), backend, ln.Addr(), *gate)

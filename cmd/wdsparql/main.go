@@ -80,12 +80,9 @@ func main() {
 		wdsparql.WithPlanner(*planner))
 
 	if *stats {
-		backend := "map"
-		switch {
-		case g.Sharded():
+		backend := "frozen (CSR, bulk-loaded)"
+		if g.Sharded() {
 			backend = fmt.Sprintf("sharded (CSR, %d shards by subject hash)", g.ShardCount())
-		case g.Frozen():
-			backend = "frozen (CSR, bulk-loaded)"
 		}
 		fmt.Fprintf(os.Stderr, "data: %s\nbackend: %s\n", rdf.Stats(g), backend)
 	}

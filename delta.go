@@ -18,24 +18,18 @@ import (
 	"wdsparql/internal/rdf"
 )
 
-// withGraph returns a new engine over g carrying e's options. It does
-// NOT re-seal g (unlike NewEngine): the generation path hands over
-// graphs that are already sealed — a fork carrying an overlay, or a
-// freshly compacted base — and re-sealing would fold the overlay
-// eagerly, defeating the cheap-fork design. The query cache starts
-// empty because prepared queries are compiled against a specific
-// graph.
+// withGraph returns a new engine over g carrying e's options. It copies
+// the whole Engine value, so every option — present or future — carries
+// over, and resets only the graph and the query cache: prepared queries
+// are compiled against a specific graph. It does NOT re-seal g (unlike
+// NewEngine): the generation path hands over a fork carrying an
+// overlay, or a freshly compacted base, and re-sealing would fold the
+// overlay eagerly, defeating the cheap-fork design.
 func (e *Engine) withGraph(g *rdf.Graph) *Engine {
-	ne := &Engine{
-		g:         g,
-		alg:       e.alg,
-		pebbleK:   e.pebbleK,
-		workers:   e.workers,
-		shards:    e.shards,
-		qcacheCap: e.qcacheCap,
-	}
+	ne := *e
+	ne.g = g
 	ne.qcache = newLRUCache[*PreparedQuery](ne.qcacheCap)
-	return ne
+	return &ne
 }
 
 // ApplyDelta returns a new engine generation whose graph contains e's
@@ -58,7 +52,7 @@ func (e *Engine) withGraph(g *rdf.Graph) *Engine {
 func (e *Engine) ApplyDelta(ts []Triple) *Engine {
 	g := e.g.Fork()
 	for _, t := range ts {
-		g.AddDelta(t)
+		g.Add(t)
 	}
 	return e.withGraph(g)
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -70,7 +71,7 @@ func TestEngineApplyDelta(t *testing.T) {
 		if shards > 0 && (!e2.Graph().Sharded() || e2.Graph().ShardCount() != shards) {
 			t.Fatalf("shards=%d: Refreeze changed backend shape", shards)
 		}
-		if shards == 0 && !e2.Graph().Frozen() {
+		if shards == 0 && e2.Graph().Sharded() {
 			t.Fatalf("Refreeze of a frozen-base engine did not produce a frozen graph")
 		}
 		if !backendtest.EqualStreams(scratch.Graph(), e2.Graph()) {
@@ -231,5 +232,44 @@ func TestEngineIngestWhileQueryingSoak(t *testing.T) {
 		}
 		runtime.GC()
 		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// TestGenerationsKeepEngineOptions pins that ApplyDelta and Refreeze
+// generations run with the receiver's planner and FILTER placement:
+// both show in Explain, so each generation's plan of the same query
+// must report the receiver's planner flag and filter annotations.
+func TestGenerationsKeepEngineOptions(t *testing.T) {
+	filters := func(e *Engine) (bool, []string) {
+		q, err := e.PrepareText(`((?x p ?y) FILTER ?x != s1)`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ex := q.Explain()
+		var out []string
+		for _, tree := range ex.Trees {
+			out = append(out, tree.Filters...)
+		}
+		return ex.Planner, out
+	}
+	for _, tc := range []struct {
+		name    string
+		opts    []Option
+		planner bool
+		place   string
+	}{
+		{"defaults", nil, true, "[pushed]"},
+		{"planner-off/deferred", []Option{WithPlanner(false), WithFilterPushdown(false)}, false, "[deferred]"},
+	} {
+		e0 := NewEngine(deltaGraph(20), tc.opts...)
+		e1 := e0.ApplyDelta([]Triple{deltaTriple(20)})
+		e2 := e1.Refreeze()
+		for i, e := range []*Engine{e0, e1, e2} {
+			planner, fs := filters(e)
+			if planner != tc.planner || len(fs) != 1 || !strings.HasSuffix(fs[0], tc.place) {
+				t.Fatalf("%s: generation %d explains planner=%v filters=%v, want planner=%v and one %s filter",
+					tc.name, i, planner, fs, tc.planner, tc.place)
+			}
+		}
 	}
 }

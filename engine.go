@@ -130,15 +130,16 @@ func WithShards(n int) Option { return func(e *Engine) { e.shards = n } }
 // by an empty one — useful for purely static analysis (widths, certain
 // variables) where no data is involved.
 //
-// NewEngine seals the graph into a compact read-only backend: engines
-// only read, so every prepared query runs on O(1) array probes and
-// galloping range searches instead of map lookups. By default the
-// graph is frozen (rdf.Graph.Freeze); with WithShards(n) for n ≥ 2 it
-// is sharded instead (rdf.Graph.Shard) — both are idempotent and
-// preserve result content and order exactly. Note that sealing
-// happens in place on the caller's graph (a later mutation of the
-// graph transparently thaws it, under the existing rule that the
-// graph must not change while the engine is in use).
+// NewEngine seals the graph: engines only read, so every prepared
+// query should run on O(1) array probes and galloping range searches.
+// With WithShards(n) for n ≥ 2 the graph is sharded (rdf.Graph.Shard);
+// otherwise its overlay, if any, is compacted into the base in the
+// base's current shape (rdf.Graph.Compact) — an incrementally built
+// graph (an overlay on an empty base) ends up frozen, and a graph the
+// caller already sharded keeps its shards. All of these preserve
+// result content and order exactly. Sealing happens in place on the
+// caller's graph, which must not change while the engine is in use;
+// live writes go through ApplyDelta instead.
 func NewEngine(g *Graph, opts ...Option) *Engine {
 	if g == nil {
 		g = rdf.NewGraph()
@@ -150,12 +151,8 @@ func NewEngine(g *Graph, opts ...Option) *Engine {
 	e.qcache = newLRUCache[*PreparedQuery](e.qcacheCap)
 	if e.shards > 1 {
 		g.Shard(e.shards)
-	} else if !g.Sharded() {
-		// Freeze by default, but keep a graph the caller already
-		// sharded (GraphFromTriplesSharded, Graph.Shard): re-freezing
-		// would silently discard the shard build and the caller's
-		// backend choice — the results are identical either way.
-		g.Freeze()
+	} else {
+		g.Compact()
 	}
 	return e
 }

@@ -219,7 +219,7 @@ func TestEngineWithShardsMatchesFrozenStream(t *testing.T) {
 		if shards > 1 && (!gs.Sharded() || gs.ShardCount() != shards) {
 			t.Fatalf("WithShards(%d): backend not sharded", shards)
 		}
-		if shards <= 1 && !gs.Frozen() {
+		if shards <= 1 && (gs.Sharded() || gs.HasOverlay()) {
 			t.Fatalf("WithShards(%d): expected the frozen default", shards)
 		}
 		q, err := eng.Prepare(MustParsePattern(e9Pattern))

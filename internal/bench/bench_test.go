@@ -197,7 +197,7 @@ func TestE11Agreement(t *testing.T) {
 			t.Fatalf("E11 must load a non-empty graph: %v", row)
 		}
 		if row[len(row)-1] != "true" {
-			t.Fatalf("frozen and map backends must agree: %v", row)
+			t.Fatalf("frozen and overlay-only graphs must agree: %v", row)
 		}
 	}
 }

@@ -20,7 +20,7 @@ import (
 // ModeHeuristic, on = ModeStrict plan-following) — and reports wall
 // time, search nodes visited and selection count probes side by side.
 // The agree column is the determinism gate: planner-on streams must be
-// byte-identical to planner-off (and to the map-backend reference),
+// byte-identical to planner-off (and to the overlay-only reference),
 // and strict-mode counts must equal the stream cardinality. wdbench
 // exits non-zero when any agree cell is false.
 
@@ -109,8 +109,8 @@ func e16StreamsEqual(a, b []rdf.Row) bool {
 
 // E16Planner measures the compile-time planner against the per-node
 // heuristic on three workload shapes (the E9 wdPT, a single-node
-// chain, a sparse directed triangle) across the map, frozen and
-// sharded backends.
+// chain, a sparse directed triangle) across the overlay-only, frozen
+// and sharded backends.
 func E16Planner(n, shards int) *Table {
 	t := &Table{
 		ID:    "E16",
@@ -133,19 +133,19 @@ func E16Planner(n, shards int) *Table {
 			name string
 			g    *rdf.Graph
 		}{
-			{"map", sh.g},
+			{"overlay-only", sh.g},
 			{"frozen", sh.g.Clone().Freeze()},
 			{fmt.Sprintf("sharded(%d)", shards), sh.g.Clone().Shard(shards)},
 		}
-		var mapRef []rdf.Row
+		var overlayRef []rdf.Row
 		for _, b := range backends {
 			fp := core.CompileForest(sh.f, b.g)
 			ref := e16Collect(fp, hom.ModeHeuristic)
-			if mapRef == nil {
-				mapRef = ref
+			if overlayRef == nil {
+				overlayRef = ref
 			}
 			planned := e16Collect(fp, hom.ModePlanned)
-			streamsOK := e16StreamsEqual(ref, planned) && e16StreamsEqual(ref, mapRef)
+			streamsOK := e16StreamsEqual(ref, planned) && e16StreamsEqual(ref, overlayRef)
 
 			// One counter pass plus a best-of-five timing pass (stats
 			// attachment off while timing, so counters stay per-run).

@@ -16,8 +16,8 @@ import (
 )
 
 // FILTER + projection on the compiled row pipeline, cross-validated
-// against the compositional reference: every backend (map, frozen,
-// sharded, overlay), both pushdown placements, both planner modes and
+// against the compositional reference: every backend (overlay-only,
+// frozen, sharded, overlay), both pushdown placements, both planner modes and
 // parallel execution must emit byte-identical streams whose solution
 // set matches sparql.EvalID.
 
@@ -36,7 +36,7 @@ func rebuildAs(g *rdf.Graph, backend string) *rdf.Graph {
 		out.AddTriple(tr.S.Value, tr.P.Value, tr.O.Value)
 	}
 	switch backend {
-	case "map":
+	case "overlay-only":
 		return out
 	case "frozen":
 		out.Freeze()
@@ -46,7 +46,7 @@ func rebuildAs(g *rdf.Graph, backend string) *rdf.Graph {
 		out.Freeze()
 		for _, id := range ids[cut:] {
 			tr := g.Dict().DecodeTriple(id)
-			out.AddDeltaTriple(tr.S.Value, tr.P.Value, tr.O.Value)
+			out.AddTriple(tr.S.Value, tr.P.Value, tr.O.Value)
 		}
 	}
 	return out
@@ -94,7 +94,7 @@ func streamStrings(fp *core.ForestProgram, workers int) []string {
 
 func TestFilterProjectionCrossValidate(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
-	backends := []string{"map", "frozen", "sharded", "overlay"}
+	backends := []string{"overlay-only", "frozen", "sharded", "overlay"}
 	for trial := 0; trial < 60; trial++ {
 		q, ok := gen.RandomWDQuery(rng, gen.PatternOpts{
 			Depth: 3, Filters: 2, Select: trial%2 == 0, Union: trial%5 == 0,

@@ -2,7 +2,7 @@ package core_test
 
 // Cross-validation of the frozen storage backend at the enumeration
 // layer: ForestProgram.Rows must yield the IDENTICAL stream — content
-// and order, byte for byte — on a frozen graph and on its map-backed
+// and order, byte for byte — on a frozen graph and on its overlay-only
 // twin, for randomized well-designed forests. This is the determinism
 // invariant the ROADMAP pins for the enumeration pipeline ("parallel
 // == sequential, sharded backends merge in order"): the storage

@@ -43,7 +43,7 @@ func plannerOverlayTwin(g *rdf.Graph, shards int) *rdf.Graph {
 	}
 	for _, id := range ids[cut:] {
 		t := g.Dict().DecodeTriple(id)
-		og.AddDeltaTriple(t.S.Value, t.P.Value, t.O.Value)
+		og.AddTriple(t.S.Value, t.P.Value, t.O.Value)
 	}
 	return og
 }
@@ -64,7 +64,7 @@ func TestTunedModesAcrossBackends(t *testing.T) {
 			name string
 			g    *rdf.Graph
 		}{
-			{"map", g},
+			{"overlay-only", g},
 			{"frozen", g.Clone().Freeze()},
 			{"sharded(3)", g.Clone().Shard(3)},
 			{"frozen+ovl", plannerOverlayTwin(g, 0)},

@@ -3,7 +3,7 @@ package core_test
 // Cross-validation of the sharded storage backend at the enumeration
 // layer, over the full Parallel(n) × Shard(m) cross product: the row
 // stream of a compiled forest must be byte-identical — content and
-// order — to the sequential stream over the unsharded map-backed
+// order — to the sequential stream over the unsharded overlay-only
 // graph, for every worker count and every shard count, on randomized
 // well-designed forests. Run under -race in CI, this doubles as the
 // race check for the shard-grouped worker scheduling of RowsParallel.

@@ -181,9 +181,9 @@ func TestStrictVolatileFallsBackToScored(t *testing.T) {
 // memo on the shape that exposes the original hot-loop waste: a star
 // query, where the last star arm's substitution is fixed the moment
 // the shared subject binds, yet the pre-memo scan re-probed its count
-// at every node of the sibling arm's enumeration. Runs on the map
-// backend (hash-lookup counts) and the frozen backend (binary-search
-// counts, where each skipped re-probe pays more).
+// at every node of the sibling arm's enumeration. Runs on the
+// overlay-only backend (hash-lookup counts) and the frozen backend
+// (binary-search counts, where each skipped re-probe pays more).
 func BenchmarkPickPattern(b *testing.B) {
 	mg := rdf.NewGraph()
 	rng := rand.New(rand.NewSource(3))
@@ -200,7 +200,7 @@ func BenchmarkPickPattern(b *testing.B) {
 	for _, backend := range []struct {
 		name string
 		g    *rdf.Graph
-	}{{"map", mg}, {"frozen", mg.Clone().Freeze()}} {
+	}{{"overlay-only", mg}, {"frozen", mg.Clone().Freeze()}} {
 		layout := rdf.NewSlotLayout()
 		prog := CompileRowProgramPlanned(pats, backend.g, layout, nil)
 		for _, cfg := range []struct {

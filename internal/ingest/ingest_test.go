@@ -96,7 +96,7 @@ func TestLoadEquivalence(t *testing.T) {
 					if shards > 1 && (!g.Sharded() || g.ShardCount() != shards) {
 						t.Fatalf("%s: wrong backend shape", label)
 					}
-					if shards <= 1 && !g.Frozen() {
+					if shards <= 1 && (g.Sharded() || g.HasOverlay()) {
 						t.Fatalf("%s: result not frozen", label)
 					}
 					sameGraph(t, ref, g, label)

@@ -10,9 +10,6 @@ package rdf
 //
 // Cost discipline mirrors the backends' own contracts:
 //
-//   - Map backend: global counts are the index map sizes (O(1));
-//     per-predicate counts scan one posting list. The map backend is
-//     mutable, so nothing is cached.
 //   - Frozen / sharded: global counts are computed once, lazily, by a
 //     single pass over the offset (or global count) arrays, guarded by
 //     sync.Once so the first plan compilation is safe under concurrent
@@ -42,20 +39,10 @@ type cardStats struct {
 // graph, overlay included.
 func (g *Graph) DistinctCount(pos int) int {
 	var base int
-	switch {
-	case g.shd != nil:
+	if g.shd != nil {
 		base = g.shd.distinct(pos)
-	case g.frz != nil:
+	} else {
 		base = g.frz.distinct(pos)
-	default:
-		switch pos {
-		case 0:
-			return len(g.byS)
-		case 1:
-			return len(g.byP)
-		default:
-			return len(g.byO)
-		}
 	}
 	if g.ovl != nil {
 		base += g.overlayNewKeys(pos)
@@ -65,25 +52,18 @@ func (g *Graph) DistinctCount(pos int) int {
 
 // DistinctUnderPredicate reports the number of distinct terms at
 // position pos (0 = subject, 2 = object) among the triples whose
-// predicate is p. Exact on map, frozen and overlay backends; on a
-// sharded base the object count is a per-shard sum and may double
-// count objects recurring across shards (subject counts stay exact —
+// predicate is p. Exact on a frozen base and its overlay; on a sharded
+// base the object count is a per-shard sum and may double count
+// objects recurring across shards (subject counts stay exact —
 // subjects partition by shard). Callers treat it as an estimate.
 func (g *Graph) DistinctUnderPredicate(p TermID, pos int) int {
 	var base int
-	switch {
-	case g.shd != nil:
+	if g.shd != nil {
 		for i := range g.shd.shards {
 			base += g.shd.shards[i].view.distinctUnder(p, pos)
 		}
-	case g.frz != nil:
+	} else {
 		base = g.frz.distinctUnder(p, pos)
-	default:
-		seen := make(map[TermID]struct{})
-		for _, t := range g.byP[p] {
-			seen[t[pos]] = struct{}{}
-		}
-		return len(seen)
 	}
 	if g.ovl != nil {
 		base += g.overlayNewUnder(p, pos)

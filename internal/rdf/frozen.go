@@ -1,33 +1,30 @@
 package rdf
 
-// This file implements the frozen (sealed) storage backend of Graph:
-// the standard dictionary-encoded + CSR design of production RDF
-// stores. Freeze compacts the six hash-map positional indexes of the
-// construction-time graph into flat triple arenas with offset arrays
-// indexed by dense TermID, so every read probe is an array access (one
-// key bound), a galloping/binary range search (two keys bound) or an
-// open-addressing probe (ground triple), with no map hashing and no
-// per-key slice headers. A frozen graph is immutable — exactly the
-// concurrent-reader contract the evaluation stack relies on — and
-// mutation through Add/AddID transparently thaws it back into the
-// map-backed representation.
+// This file implements the frozen (sealed) base of Graph: the standard
+// dictionary-encoded + CSR design of production RDF stores. Freeze
+// lays the graph's triples out into flat triple arenas with offset
+// arrays indexed by dense TermID, so every read probe is an array
+// access (one key bound), a galloping/binary range search (two keys
+// bound) or an open-addressing probe (ground triple), with no map
+// hashing and no per-key slice headers. A frozen view is immutable —
+// exactly the concurrent-reader contract the evaluation stack relies
+// on — and writes go to the graph's overlay (overlay.go) instead.
 //
 // Two kinds of view coexist:
 //
 //   - The primary, order-bearing arenas (arenaS/arenaP/arenaO) keep
-//     each posting list in insertion order, byte-identical to the map
-//     backend's lists, so the enumeration pipeline's determinism
-//     invariants (ROADMAP "Enumeration pipeline") hold unchanged on a
-//     frozen graph.
+//     each posting list in insertion order, so the enumeration
+//     pipeline's determinism invariants (ROADMAP "Enumeration
+//     pipeline") hold on a frozen graph.
 //   - The secondarily-sorted arenas (arenaSP/arenaPO/arenaSO) reuse
 //     the same grouping but stably order each group by a second
 //     position, so two-key posting lists are contiguous ranges found
 //     by galloping search rather than separate maps. Stability makes
 //     even these ranges insertion-ordered, so no consumer can observe
-//     a difference from the map backend.
+//     which arena answered.
 //
-// A future sharded backend should shard the primary views (and the
-// membership table); the sorted views are derived per shard.
+// The sharded backend (sharded.go) shards the primary views and the
+// membership table; the sorted views are derived per shard.
 
 // frozenView is the compact immutable index structure of a frozen
 // graph. All slices are built once by freezeGraph and never mutated.
@@ -40,8 +37,7 @@ type frozenView struct {
 	offS, offP, offO []uint32
 
 	// Primary order-bearing arenas: grouped by one position, insertion
-	// order within each group (exactly the map backend's posting
-	// lists).
+	// order within each group.
 	arenaS, arenaP, arenaO []IDTriple
 
 	// Secondarily-sorted arenas: same grouping and offsets as the
@@ -67,9 +63,8 @@ type frozenView struct {
 	keySP, keyPS, keyPO, keyOP, keySO, keyOS []TermID
 
 	// Membership: open-addressing (linear probing) table of indices
-	// into all, power-of-two sized, load factor ≤ 1/2. Replaces the
-	// map[IDTriple]struct{} of the mutable backend at a fraction of
-	// its footprint.
+	// into all, power-of-two sized, load factor ≤ 1/2: a fraction of
+	// the footprint of a map[IDTriple]struct{}.
 	memb []uint32
 	all  []IDTriple // the graph's insertion-order slice (shared)
 
@@ -313,8 +308,8 @@ func gallopFloor(grp []TermID, key TermID) int {
 }
 
 // candidates mirrors Graph.CandidatesID on the frozen indexes. Every
-// returned slice is (a range of) immutable frozen storage in exactly
-// the order the map backend would produce.
+// returned slice is (a range of) immutable frozen storage, in
+// insertion order.
 func (f *frozenView) candidates(p IDTriple) []IDTriple {
 	sB, pB, oB := !p[0].IsVar(), !p[1].IsVar(), !p[2].IsVar()
 	switch {
@@ -347,68 +342,22 @@ func (f *frozenView) candidates(p IDTriple) []IDTriple {
 	}
 }
 
-// Freeze seals the graph into the compact CSR backend and releases the
-// map indexes (roughly halving the resident footprint). Freeze is
-// idempotent; the frozen view is immutable, so a frozen graph is safe
-// for any number of concurrent readers. Freeze itself is a write
+// Freeze folds the overlay and the base into one new single-arena
+// frozen base. It is idempotent — a frozen graph without an overlay is
+// returned as is — and re-seals a sharded graph single-arena. The
+// frozen view is immutable, so a frozen graph without an overlay is
+// safe for any number of concurrent readers. Freeze itself is a write
 // operation: it must not run concurrently with reads or other writes.
 //
-// Mutating a frozen graph (Add, AddID, Merge) transparently thaws it
-// back to the map-backed representation; call Freeze again after the
-// mutation burst to re-seal. Freeze returns its receiver so bulk
-// construction can chain: NewGraph → Add… → Freeze.
+// Writes after a Freeze go to a new overlay; call Freeze (or Compact)
+// again after the write burst to fold them in. Freeze returns its
+// receiver so construction can chain: NewGraph → Add… → Freeze.
 func (g *Graph) Freeze() *Graph {
 	if g.ovl != nil {
-		// A sealed graph with an overlay: fold the write layer into a
-		// fresh base (never in place — the old base may be shared with
-		// forked generations) and re-seal single-arena.
 		g.foldOverlay()
-		g.frz = freezeGraph(g)
-		g.shd = nil
+	} else if g.shd == nil {
 		return g
 	}
-	if g.frz == nil {
-		g.frz = freezeGraph(g)
-		g.shd = nil // freezing a sharded graph re-seals single-arena
-		g.set = nil
-		g.byS, g.byP, g.byO = nil, nil, nil
-		g.bySP, g.byPO, g.bySO = nil, nil, nil
-	}
+	g.frz, g.shd = freezeGraph(g), nil
 	return g
-}
-
-// Frozen reports whether the graph currently uses the frozen backend.
-func (g *Graph) Frozen() bool { return g.frz != nil }
-
-// thaw rebuilds the map indexes from the insertion-order slice and
-// discards the frozen (or sharded) view; called by the mutation path
-// when a sealed graph is modified. An overlay is folded in at its
-// sequence position (a strict suffix of the base), and the
-// insertion-order slice and occurrence table come out fresh — the
-// originals may be shared with forked sibling generations, and the
-// mutable backend is about to append and increment in place. Posting
-// lists are rebuilt in insertion order, so a thawed graph is
-// indistinguishable from one that was never sealed.
-func (g *Graph) thaw() {
-	if g.ovl != nil {
-		g.foldOverlay() // already allocates fresh all and occ
-	} else {
-		g.all = g.all[:len(g.all):len(g.all)] // clip: appends must reallocate, not write a shared array
-		occ := make([]int32, g.dict.NumIRIs())
-		copy(occ, g.occ)
-		g.occ = occ
-	}
-	g.frz = nil
-	g.shd = nil
-	g.set = make(map[IDTriple]struct{}, len(g.all))
-	g.byS = map[TermID][]IDTriple{}
-	g.byP = map[TermID][]IDTriple{}
-	g.byO = map[TermID][]IDTriple{}
-	g.bySP = map[[2]TermID][]IDTriple{}
-	g.byPO = map[[2]TermID][]IDTriple{}
-	g.bySO = map[[2]TermID][]IDTriple{}
-	for _, t := range g.all {
-		g.set[t] = struct{}{}
-		g.indexID(t)
-	}
 }

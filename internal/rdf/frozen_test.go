@@ -1,7 +1,6 @@
 // Lifecycle and bulk-load tests specific to the frozen CSR backend.
-// The read-API cross-validation against the map backend that used to
-// live here is now the reusable differential suite of
-// internal/rdf/backendtest, instantiated for every backend in
+// The read-API cross-validation lives in the reusable differential
+// suite of internal/rdf/backendtest, instantiated for every backend in
 // sharded_test.go.
 package rdf_test
 
@@ -15,43 +14,39 @@ import (
 
 func sameTriples(a, b []rdf.IDTriple) bool { return slices.Equal(a, b) }
 
-// Freeze is idempotent, and mutation thaws transparently: a frozen
-// graph that is mutated behaves exactly like a never-frozen graph
-// with the same history, and can be re-frozen.
+// Freeze is idempotent, writes after a Freeze land in the overlay
+// without losing or duplicating triples, and a re-freeze folds them
+// in.
 func TestFreezeThawLifecycle(t *testing.T) {
 	g := gen.Random(12, 40, 3, 99)
-	if g.Frozen() {
-		t.Fatal("incremental graph must start map-backed")
+	if !g.HasOverlay() || g.OverlayLen() != g.Len() {
+		t.Fatal("incremental graph must start as an overlay on an empty base")
 	}
 	g.Freeze()
-	if !g.Frozen() {
+	if g.HasOverlay() || g.Sharded() {
 		t.Fatal("Freeze must seal")
 	}
 	g.Freeze() // idempotent
 	n := g.Len()
-	g.AddTriple("thaw-s", "thaw-p", "thaw-o")
-	if g.Frozen() {
-		t.Fatal("mutation must thaw")
-	}
-	if g.Len() != n+1 || !g.Contains(rdf.T(rdf.IRI("thaw-s"), rdf.IRI("thaw-p"), rdf.IRI("thaw-o"))) {
-		t.Fatal("triple lost across thaw")
+	g.AddTriple("added-s", "added-p", "added-o")
+	if g.Len() != n+1 || !g.Contains(rdf.T(rdf.IRI("added-s"), rdf.IRI("added-p"), rdf.IRI("added-o"))) {
+		t.Fatal("triple lost across a write")
 	}
 	g.Freeze()
-	if !g.Frozen() || !g.ContainsID(g.TriplesID()[n]) {
+	if g.HasOverlay() || !g.ContainsID(g.TriplesID()[n]) {
 		t.Fatal("re-freeze lost the new triple")
 	}
-	// Re-adding an existing triple on a frozen graph thaws but must
-	// not duplicate.
-	g.AddTriple("thaw-s", "thaw-p", "thaw-o")
+	// Re-adding an existing triple on a frozen graph must not
+	// duplicate.
+	g.AddTriple("added-s", "added-p", "added-o")
 	if g.Len() != n+1 {
-		t.Fatal("duplicate insert after thaw")
+		t.Fatal("duplicate insert after a re-freeze")
 	}
-	// Cloning a frozen graph takes the compact path (no map rebuild):
-	// the clone is frozen and state-identical, including occurrence
-	// counts, and stays independently mutable.
-	g.Freeze()
+	// Cloning a frozen graph rebuilds the frozen base directly: the
+	// clone is frozen and state-identical, including occurrence
+	// counts, and stays independently writable.
 	c := g.Clone()
-	if !c.Frozen() || !slices.Equal(c.TriplesID(), g.TriplesID()) || c.DomSize() != g.DomSize() {
+	if c.Sharded() || c.HasOverlay() || !slices.Equal(c.TriplesID(), g.TriplesID()) || c.DomSize() != g.DomSize() {
 		t.Fatal("frozen clone lost state")
 	}
 	for _, id := range g.DomIDs() {
@@ -60,7 +55,7 @@ func TestFreezeThawLifecycle(t *testing.T) {
 		}
 	}
 	c.AddTriple("clone-s", "clone-p", "clone-o")
-	if c.Len() != g.Len()+1 || !g.Frozen() {
+	if c.Len() != g.Len()+1 || g.HasOverlay() {
 		t.Fatal("frozen clone is not independent of its source")
 	}
 }
@@ -78,7 +73,7 @@ func TestBulkLoadEquivalence(t *testing.T) {
 	}
 	inc := rdf.GraphOf(ts...)
 	bulk := rdf.GraphFromTriples(ts)
-	if !bulk.Frozen() {
+	if bulk.Sharded() || bulk.HasOverlay() {
 		t.Fatal("GraphFromTriples must return a frozen graph")
 	}
 	if !inc.Equal(bulk) || !bulk.Equal(inc) {
@@ -100,7 +95,7 @@ func TestBulkLoadEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !parsed.Frozen() {
+	if parsed.Sharded() || parsed.HasOverlay() {
 		t.Fatal("ReadGraph must return a frozen graph")
 	}
 	if !sameTriples(parsed.TriplesID(), inc.TriplesID()) {

@@ -1,30 +1,33 @@
 package rdf
 
 import (
+	"slices"
 	"sort"
 )
 
 // Graph is a ground RDF graph: a finite set of RDF triples over IRIs
 // (the paper assumes no blank nodes). Internally the graph is
 // dictionary-encoded: every IRI is interned to a dense TermID in a
-// private Dict and triples are stored as IDTriples. Two storage
-// backends share the read API behind Graph's *ID methods:
+// private Dict and triples are stored as IDTriples.
 //
-//   - The construction-time map backend: positional hash indexes with
-//     insertion-ordered, append-only posting lists (O(1) insert, so
-//     incremental construction is linear).
-//   - The frozen CSR backend (see frozen.go): after Freeze, the map
-//     indexes are compacted into flat triple arenas with offset
-//     arrays indexed by dense TermID, posting-list probes become
-//     array accesses or galloping range searches, and membership runs
-//     on an open-addressing table. Mutation thaws back to the map
-//     backend transparently.
+// Storage has one model: a sealed base plus an optional overlay. The
+// base is immutable — either the frozen CSR view (frozen.go: flat
+// triple arenas with offset arrays indexed by dense TermID, galloping
+// range searches, an open-addressing membership table) or the sharded
+// CSR view (sharded.go) — and may be empty. Writes (Add, AddTriple,
+// AddID) deduplicate against the base and append to the overlay
+// (overlay.go), a small map-indexed write layer whose triples follow
+// every base triple in insertion order. Freeze, Shard and Compact fold
+// the overlay into a new sealed base. NewGraph starts from an empty
+// frozen base, so an incrementally built graph is an overlay until it
+// is first sealed.
 //
-// Both backends produce byte-identical results — content and order —
-// for every read operation. The string-based API (Add, Match,
-// Contains, MatchMappings, ...) is a thin shim over the ID-native
-// core; hot callers (the homomorphism solver, the pebble closure) use
-// the *ID methods directly.
+// Every read returns the same triples in the same (insertion) order
+// whatever the base shape and however the triples split between base
+// and overlay. The string-based API (Add, Match, Contains,
+// MatchMappings, ...) is a thin shim over the ID-native core; hot
+// callers (the homomorphism solver, the pebble closure) use the *ID
+// methods directly.
 //
 // All read operations are free of interning and internal caching, so a
 // Graph is safe for concurrent readers once construction (including
@@ -33,37 +36,23 @@ import (
 // The zero value is not usable; call NewGraph.
 type Graph struct {
 	dict *Dict
-	set  map[IDTriple]struct{} // nil while frozen
-	all  []IDTriple            // insertion order; returned directly by TriplesID
+	all  []IDTriple // base insertion order; returned directly by TriplesID
 
-	// Positional map indexes with insertion-ordered posting lists;
-	// all nil while frozen.
-	byS  map[TermID][]IDTriple
-	byP  map[TermID][]IDTriple
-	byO  map[TermID][]IDTriple
-	bySP map[[2]TermID][]IDTriple
-	byPO map[[2]TermID][]IDTriple
-	bySO map[[2]TermID][]IDTriple
-
-	occ     []int32 // occurrence count per IRI ID across all positions
-	domSize int     // |dom(G)| = number of IRI IDs with occ > 0
+	occ     []int32 // base occurrence count per IRI ID across all positions
+	domSize int     // number of IRI IDs with base occ > 0
 	frz     *frozenView
-	shd     *ShardedGraph
-	ovl     *overlay // delta write layer on a sealed base; nil unless sealed
+	shd     *ShardedGraph // exactly one of frz and shd is non-nil
+	ovl     *overlay      // write layer on the base; nil until the first write
 }
 
-// NewGraph returns an empty RDF graph.
+// emptyView is the frozen view of the empty graph. Views are
+// immutable, so every fresh graph shares it as its base.
+var emptyView = freezeTriples(nil, 0)
+
+// NewGraph returns an empty RDF graph: an empty frozen base whose
+// writes go to the overlay.
 func NewGraph() *Graph {
-	return &Graph{
-		dict: NewDict(),
-		set:  map[IDTriple]struct{}{},
-		byS:  map[TermID][]IDTriple{},
-		byP:  map[TermID][]IDTriple{},
-		byO:  map[TermID][]IDTriple{},
-		bySP: map[[2]TermID][]IDTriple{},
-		byPO: map[[2]TermID][]IDTriple{},
-		bySO: map[[2]TermID][]IDTriple{},
-	}
+	return &Graph{dict: NewDict(), frz: emptyView}
 }
 
 // GraphOf builds a graph from a list of ground triples. It panics if
@@ -82,9 +71,11 @@ func GraphOf(ts ...Triple) *Graph {
 // IRIs only join dom(G) when a triple containing them is added.
 func (g *Graph) Dict() *Dict { return g.dict }
 
-// Add inserts a ground triple into the graph. Adding a triple that
-// contains a variable panics: RDF graphs are ground by definition
-// (Section 2 of the paper).
+// Add inserts a ground triple into the graph's overlay, unless the
+// graph already holds it. The sealed base is never touched, so
+// in-flight readers of a shared base are never invalidated. Adding a
+// triple that contains a variable panics: RDF graphs are ground by
+// definition (Section 2 of the paper).
 func (g *Graph) Add(t Triple) {
 	if !t.Ground() {
 		panic("rdf: cannot add non-ground triple " + t.String() + " to a graph")
@@ -114,41 +105,26 @@ func (g *Graph) AddID(t IDTriple) {
 }
 
 func (g *Graph) addID(t IDTriple) {
-	if g.frz != nil || g.shd != nil {
-		g.thaw()
-	}
-	if _, ok := g.set[t]; ok {
+	if g.baseContains(t) {
 		return
 	}
-	g.set[t] = struct{}{}
-	g.all = append(g.all, t)
-	g.indexID(t)
-	g.countID(t)
-}
-
-// indexID appends the triple to the six positional map indexes; also
-// used by thaw to rebuild them in insertion order.
-func (g *Graph) indexID(t IDTriple) {
-	g.byS[t[0]] = append(g.byS[t[0]], t)
-	g.byP[t[1]] = append(g.byP[t[1]], t)
-	g.byO[t[2]] = append(g.byO[t[2]], t)
-	g.bySP[[2]TermID{t[0], t[1]}] = append(g.bySP[[2]TermID{t[0], t[1]}], t)
-	g.byPO[[2]TermID{t[1], t[2]}] = append(g.byPO[[2]TermID{t[1], t[2]}], t)
-	g.bySO[[2]TermID{t[0], t[2]}] = append(g.bySO[[2]TermID{t[0], t[2]}], t)
-}
-
-// countID maintains the occurrence counts (which double as the dom(G)
-// indicator: occ[id] > 0 ⟺ id ∈ dom(G)). The counts slice grows to
-// the dictionary size in a single append, not one element at a time.
-func (g *Graph) countID(t IDTriple) {
-	if n := g.dict.NumIRIs(); n > len(g.occ) {
-		g.occ = append(g.occ, make([]int32, n-len(g.occ))...)
+	o := g.ovl
+	if o == nil {
+		o = newOverlay()
+		g.ovl = o
 	}
+	if _, dup := o.set[t]; dup {
+		return
+	}
+	o.set[t] = struct{}{}
+	o.ts = append(o.ts, t)
+	o.index(t)
 	for _, id := range t {
-		if g.occ[id] == 0 {
-			g.domSize++
+		d := o.occDelta[id]
+		if d == 0 && g.baseOcc(id) == 0 {
+			o.domDelta++
 		}
-		g.occ[id]++
+		o.occDelta[id] = d + 1
 	}
 }
 
@@ -241,15 +217,7 @@ func (g *Graph) ContainsID(t IDTriple) bool {
 			return true
 		}
 	}
-	if sg := g.shd; sg != nil {
-		return sg.contains(t)
-	}
-	if f := g.frz; f != nil {
-		_, ok := f.contains(t)
-		return ok
-	}
-	_, ok := g.set[t]
-	return ok
+	return g.baseContains(t)
 }
 
 // Len returns |G|, the number of triples.
@@ -369,19 +337,12 @@ func (g *Graph) Match(p Triple) []Triple {
 }
 
 // MatchID is Match over encoded patterns (see EncodePattern for the
-// pattern convention). On a frozen graph the result of a pattern
-// without repeated variables aliases immutable internal storage:
-// callers must not modify it.
+// pattern convention). The result of a pattern without repeated
+// variables may alias internal storage: callers must not modify it.
 func (g *Graph) MatchID(p IDTriple) []IDTriple {
 	cands, exact := g.LookupRangeID(p)
 	if exact {
-		if g.frz != nil || g.shd != nil {
-			// Immutable arena range or freshly merged slice: no copy.
-			return cands
-		}
-		out := make([]IDTriple, len(cands))
-		copy(out, cands)
-		return out
+		return cands
 	}
 	out := make([]IDTriple, 0, len(cands))
 	for _, t := range cands {
@@ -406,24 +367,25 @@ func (g *Graph) MatchCount(p Triple) int {
 // posting-list (or frozen range) length, with no scan: O(1) for at
 // most one bound position, O(log) for two on the frozen backend. On
 // the sharded backend cross-shard counts are sums of per-shard range
-// lengths — no merge is materialised.
+// lengths — no merge is materialised — and an overlay adds its own
+// posting-list length, never concatenating it with the base list.
 func (g *Graph) MatchCountID(p IDTriple) int {
-	if sg := g.shd; sg != nil && !hasRepeatedVar(p) {
-		n := sg.count(p)
-		if o := g.ovl; o != nil {
-			n += o.count(p)
+	n := 0
+	if hasRepeatedVar(p) {
+		for _, t := range g.CandidatesID(p) {
+			if MatchesPatternID(p, t) {
+				n++
+			}
 		}
 		return n
 	}
-	cands, exact := g.LookupRangeID(p)
-	if exact {
-		return len(cands)
+	if sg := g.shd; sg != nil {
+		n = sg.count(p)
+	} else {
+		n = len(g.frz.candidates(p))
 	}
-	n := 0
-	for _, t := range cands {
-		if MatchesPatternID(p, t) {
-			n++
-		}
+	if o := g.ovl; o != nil {
+		n += o.count(p)
 	}
 	return n
 }
@@ -438,11 +400,10 @@ func hasRepeatedVar(p IDTriple) bool {
 // LookupRangeID is the storage-backend seam used by the solvers: it
 // returns the candidate posting list for the encoded pattern together
 // with exact, which reports that every triple of the list matches the
-// pattern (true exactly when the pattern has no repeated variable, on
-// either backend), so callers can skip the per-triple
-// MatchesPatternID filter. The slice is internal storage: callers
-// must not modify it, and on the map backend it is only valid until
-// the next mutation.
+// pattern (true exactly when the pattern has no repeated variable),
+// so callers can skip the per-triple MatchesPatternID filter. The
+// slice may be internal storage: callers must not modify it, and a
+// list served from the overlay is only valid until the next write.
 func (g *Graph) LookupRangeID(p IDTriple) ([]IDTriple, bool) {
 	return g.CandidatesID(p), !hasRepeatedVar(p)
 }
@@ -450,13 +411,14 @@ func (g *Graph) LookupRangeID(p IDTriple) ([]IDTriple, bool) {
 // CandidatesID selects the most selective index for the encoded
 // pattern and returns its posting list. Every triple matching the
 // pattern is in the list; the list may contain non-matches when the
-// pattern has repeated variables. All backends return the same
+// pattern has repeated variables. Every base shape returns the same
 // triples in the same (insertion) order — on the sharded backend a
-// cross-shard list is a freshly merged slice (see ShardedGraph),
-// everywhere else the slice is internal storage; either way callers
+// cross-shard list is a freshly merged slice (see ShardedGraph), and
+// a list spanning base and overlay is a fresh concatenation;
+// everywhere else the slice is internal storage. Either way callers
 // must not modify it.
 func (g *Graph) CandidatesID(p IDTriple) []IDTriple {
-	if o := g.ovl; o != nil && len(o.ts) > 0 {
+	if o := g.ovl; o != nil {
 		if !p[0].IsVar() && !p[1].IsVar() && !p[2].IsVar() {
 			if g.ContainsID(p) {
 				return []IDTriple{p}
@@ -481,36 +443,12 @@ func (g *Graph) CandidatesID(p IDTriple) []IDTriple {
 	return g.baseCandidates(p)
 }
 
-// baseCandidates is CandidatesID against the base storage only.
+// baseCandidates is CandidatesID against the sealed base only.
 func (g *Graph) baseCandidates(p IDTriple) []IDTriple {
 	if sg := g.shd; sg != nil {
 		return sg.candidates(p)
 	}
-	if f := g.frz; f != nil {
-		return f.candidates(p)
-	}
-	sB, pB, oB := !p[0].IsVar(), !p[1].IsVar(), !p[2].IsVar()
-	switch {
-	case sB && pB && oB:
-		if g.ContainsID(p) {
-			return []IDTriple{p}
-		}
-		return nil
-	case sB && pB:
-		return g.bySP[[2]TermID{p[0], p[1]}]
-	case pB && oB:
-		return g.byPO[[2]TermID{p[1], p[2]}]
-	case sB && oB:
-		return g.bySO[[2]TermID{p[0], p[2]}]
-	case sB:
-		return g.byS[p[0]]
-	case pB:
-		return g.byP[p[1]]
-	case oB:
-		return g.byO[p[2]]
-	default:
-		return g.all
-	}
+	return g.frz.candidates(p)
 }
 
 // MatchMappings returns, for a triple pattern t, the paper's base-case
@@ -577,37 +515,27 @@ func (g *Graph) MatchMappings(p Triple) []Mapping {
 func (g *Graph) String() string { return FormatGraph(g) }
 
 // Clone returns a deep copy of the graph. IDs are preserved: the
-// clone's dictionary assigns the same IDs to the same IRIs, and a
-// frozen graph clones to a frozen graph. An overlay is deep-copied
-// onto the clone's sealed base — posting lists are rebuilt, never
-// shared — so writes to either graph's overlay stay invisible to the
-// other.
+// clone's dictionary assigns the same IDs to the same IRIs. The base
+// is rebuilt in the same shape (a frozen base clones to a frozen base,
+// a sharded base to a sharded base with the same shard count) and the
+// overlay is replayed onto it — posting lists rebuilt, never shared —
+// so writes to either graph stay invisible to the other.
 func (g *Graph) Clone() *Graph {
-	out := NewGraph()
-	out.dict = g.dict.Clone()
-	if g.frz != nil || g.shd != nil {
-		// The map indexes of a sealed graph are gone; copy the
-		// insertion-order state and compact directly instead of
-		// rebuilding maps that the re-seal would immediately discard.
-		// A frozen graph clones to a frozen graph, a sharded graph to
-		// a sharded graph with the same shard count.
-		out.all = append(out.all, g.all...)
-		out.occ = append(out.occ, g.occ...)
-		out.domSize = g.domSize
-		if g.shd != nil {
-			out.Shard(g.shd.n)
-		} else {
-			out.Freeze()
-		}
-		if o := g.ovl; o != nil {
-			for _, t := range o.ts {
-				out.addDeltaID(t)
-			}
-		}
-		return out
+	out := &Graph{
+		dict:    g.dict.Clone(),
+		all:     slices.Clone(g.all),
+		occ:     slices.Clone(g.occ),
+		domSize: g.domSize,
 	}
-	for _, t := range g.all {
-		out.addID(t)
+	if g.shd != nil {
+		out.shd = shardGraph(out, g.shd.n)
+	} else {
+		out.frz = freezeGraph(out)
+	}
+	if o := g.ovl; o != nil {
+		for _, t := range o.ts {
+			out.addID(t)
+		}
 	}
 	return out
 }

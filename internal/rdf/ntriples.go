@@ -29,7 +29,7 @@ const MaxLineLen = 16 << 20 // 16 MiB
 // the plain dump. The graph is bulk-loaded through a GraphBuilder and
 // returned frozen (see Graph.Freeze): cold load is one interning pass
 // plus one compaction, and the result is immediately ready for
-// concurrent readers. Mutating it thaws it.
+// concurrent readers. Writes to it go to its overlay.
 func ReadGraph(r io.Reader) (*Graph, error) {
 	return readGraph(r, MaxLineLen, nil)
 }

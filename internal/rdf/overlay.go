@@ -1,19 +1,18 @@
 package rdf
 
-// Mutable delta overlay: a small map-backed write layer stacked on a
-// sealed (frozen or sharded) base graph, so a serving engine can
-// accept live writes without thawing the CSR arenas underneath its
-// readers.
+// Overlay: the write layer of every graph. A small map-indexed layer
+// stacked on the sealed (frozen or sharded, possibly empty) base, so
+// writes never touch the CSR arenas underneath the base's readers.
 //
 // The design exploits the engine-wide ordering invariant directly.
 // Every read path returns triples in global insertion (sequence)
 // order, and every overlay triple is inserted after every base triple,
 // so overlay sequence numbers form a strict suffix of the global
 // sequence: for any posting list, concatenating the base list (already
-// seq-ordered, whether it comes from a map index, a frozen arena range
-// or a cross-shard mergeBySeq) with the overlay's insertion-ordered
-// list IS the k-way merge by sequence number. No merge machinery runs
-// on reads — the overlay is one more mergeSrc whose sequence range
+// seq-ordered, whether it comes from a frozen arena range or a
+// cross-shard mergeBySeq) with the overlay's insertion-ordered list IS
+// the k-way merge by sequence number. No merge machinery runs on
+// reads — the overlay is one more mergeSrc whose sequence range
 // happens to start after all others end, collapsing the merge to an
 // append.
 //
@@ -23,14 +22,13 @@ package rdf
 // shared between forked generations (see Graph.Fork) stays immutable
 // while each generation's overlay grows independently.
 //
-// Structural invariant: g.ovl != nil implies the graph is sealed
-// (g.frz != nil or g.shd != nil). The overlay lives and dies with the
-// sealed view: thaw folds it into the map backend, Freeze / Shard /
-// Compact fold it into a new sealed base.
+// Structural invariant: the overlay only ever grows, and g.ovl != nil
+// implies it holds at least one triple. Freeze, Shard and Compact fold
+// it into a new sealed base and drop it.
 
-// overlay is the write layer. Posting lists mirror the map backend's
-// six positional indexes and are insertion-ordered, which is all the
-// concat-as-merge argument above needs.
+// overlay is the write layer. Its six positional posting lists are
+// insertion-ordered, which is all the concat-as-merge argument above
+// needs.
 type overlay struct {
 	set map[IDTriple]struct{}
 	ts  []IDTriple // overlay insertion order (global seq = len(base.all) + index)
@@ -108,66 +106,6 @@ func (o *overlay) count(p IDTriple) int {
 	return len(o.candidates(p))
 }
 
-// AddDelta inserts a ground triple without disturbing a sealed base:
-// on a frozen or sharded graph the triple goes into the overlay write
-// layer and the CSR views stay untouched (in-flight readers of the
-// base are never invalidated); on an unsealed graph it is a plain Add.
-// Adding a triple that contains a variable panics, like Add.
-func (g *Graph) AddDelta(t Triple) {
-	if !t.Ground() {
-		panic("rdf: cannot add non-ground triple " + t.String() + " to a graph")
-	}
-	g.addDeltaID(IDTriple{
-		g.dict.InternIRI(t.S.Value),
-		g.dict.InternIRI(t.P.Value),
-		g.dict.InternIRI(t.O.Value),
-	})
-}
-
-// AddDeltaTriple is a convenience for AddDelta(T(IRI(s), IRI(p), IRI(o))).
-func (g *Graph) AddDeltaTriple(s, p, o string) {
-	g.addDeltaID(IDTriple{g.dict.InternIRI(s), g.dict.InternIRI(p), g.dict.InternIRI(o)})
-}
-
-// AddDeltaID is AddDelta for an encoded triple whose IDs were interned
-// in g.Dict(). It panics on variable IDs or IDs unknown to the
-// dictionary, like AddID.
-func (g *Graph) AddDeltaID(t IDTriple) {
-	for _, id := range t {
-		if id.IsVar() || int(id) >= g.dict.NumIRIs() {
-			panic("rdf: AddDeltaID: ID not interned as an IRI in this graph's dictionary")
-		}
-	}
-	g.addDeltaID(t)
-}
-
-func (g *Graph) addDeltaID(t IDTriple) {
-	if g.frz == nil && g.shd == nil {
-		g.addID(t)
-		return
-	}
-	if g.baseContains(t) {
-		return
-	}
-	o := g.ovl
-	if o == nil {
-		o = newOverlay()
-		g.ovl = o
-	}
-	if _, dup := o.set[t]; dup {
-		return
-	}
-	o.set[t] = struct{}{}
-	o.ts = append(o.ts, t)
-	o.index(t)
-	for _, id := range t {
-		if g.baseOcc(id)+o.occDelta[id] == 0 {
-			o.domDelta++
-		}
-		o.occDelta[id]++
-	}
-}
-
 // baseContains is membership against the sealed base only, ignoring
 // the overlay; the write path uses it to dedup against the base.
 func (g *Graph) baseContains(t IDTriple) bool {
@@ -189,7 +127,7 @@ func (g *Graph) baseOcc(id TermID) int32 {
 }
 
 // HasOverlay reports whether the graph carries a non-empty overlay.
-func (g *Graph) HasOverlay() bool { return g.ovl != nil && len(g.ovl.ts) > 0 }
+func (g *Graph) HasOverlay() bool { return g.ovl != nil }
 
 // OverlayLen returns the number of triples in the overlay write layer.
 func (g *Graph) OverlayLen() int {
@@ -199,21 +137,17 @@ func (g *Graph) OverlayLen() int {
 	return len(g.ovl.ts)
 }
 
-// Fork returns a new generation of a sealed graph: it shares the
-// receiver's immutable base storage (CSR views, insertion-order slice,
-// occurrence table) and dictionary contents, deep-copies the overlay,
-// and is independently mutable through AddDelta / Compact. The cost is
+// Fork returns a new generation of the graph: it shares the receiver's
+// immutable base storage (CSR views, insertion-order slice, occurrence
+// table) and dictionary contents, deep-copies the overlay, and is
+// independently mutable through Add / Compact. The cost is
 // O(overlay + dictionary extension), not O(graph) — this is what makes
 // swap-a-whole-generation the cheap path for live ingest.
 //
 // From the fork on, the receiver must be treated as read-only (its
 // dictionary is forked-from; see Dict.Fork): serve existing readers
-// from it, route all writes to the fork. Fork panics on an unsealed
-// graph — the map backend is already mutable in place.
+// from it, route all writes to the fork.
 func (g *Graph) Fork() *Graph {
-	if g.frz == nil && g.shd == nil {
-		panic("rdf: Fork: graph must be sealed (frozen or sharded)")
-	}
 	out := &Graph{
 		dict:    g.dict.Fork(),
 		all:     g.all,
@@ -224,7 +158,7 @@ func (g *Graph) Fork() *Graph {
 	}
 	if o := g.ovl; o != nil {
 		for _, t := range o.ts {
-			out.addDeltaID(t)
+			out.addID(t)
 		}
 	}
 	return out
@@ -234,7 +168,7 @@ func (g *Graph) Fork() *Graph {
 // occurrence table and clears it. Both are written as fresh slices —
 // never in place — because the base versions may be shared with forked
 // sibling generations. The sealed views are stale afterwards; callers
-// re-seal (Compact, Freeze, Shard) or rebuild the map backend (thaw).
+// re-seal (Freeze, Shard).
 func (g *Graph) foldOverlay() {
 	o := g.ovl
 	all := make([]IDTriple, 0, len(g.all)+len(o.ts))
@@ -251,22 +185,14 @@ func (g *Graph) foldOverlay() {
 }
 
 // Compact folds the overlay into a new sealed base in the graph's
-// current backend shape: a sharded base re-shards with the same shard
+// current base shape: a sharded base re-shards with the same shard
 // count, a frozen base re-freezes. The re-freeze path of the ingest
 // pipeline is exactly Fork + Compact: the old generation keeps serving
 // its readers untouched while the fork compacts, then the generation
 // pointer swaps. Compact on a graph without an overlay is a no-op.
 func (g *Graph) Compact() *Graph {
-	if g.ovl == nil {
-		return g
-	}
 	if g.shd != nil {
-		n := g.shd.n
-		g.foldOverlay()
-		g.shd = shardGraph(g, n)
-	} else {
-		g.foldOverlay()
-		g.frz = freezeGraph(g)
+		return g.Shard(g.shd.n)
 	}
-	return g
+	return g.Freeze()
 }

@@ -10,15 +10,15 @@ import (
 )
 
 // splitDelta loads the first half of ts through the sealed bulk path
-// and the rest through AddDelta, producing a sealed base plus a live
+// and the rest through Add, producing a sealed base plus a live
 // overlay. Interning order is unchanged (base triples first, overlay
-// triples after), so the dictionary IDs match rdf.GraphOf exactly, as
-// the backendtest contract requires.
+// triples after), so the dictionary IDs match the backendtest
+// contract.
 func splitDelta(ts []rdf.Triple, seal func([]rdf.Triple) *rdf.Graph) *rdf.Graph {
 	half := len(ts) / 2
 	g := seal(ts[:half])
 	for _, t := range ts[half:] {
-		g.AddDelta(t)
+		g.Add(t)
 	}
 	return g
 }
@@ -48,7 +48,7 @@ func TestBackendSuiteOverlaySharded(t *testing.T) {
 	}
 }
 
-// The generation path end to end: base → Fork → AddDelta into the fork
+// The generation path end to end: base → Fork → Add into the fork
 // (forked dictionary, shared base storage) → the fork must pass the
 // full suite while the abandoned receiver is left untouched.
 func TestBackendSuiteOverlayFork(t *testing.T) {
@@ -57,7 +57,7 @@ func TestBackendSuiteOverlayFork(t *testing.T) {
 		base := rdf.GraphFromTriples(ts[:half])
 		g := base.Fork()
 		for _, t := range ts[half:] {
-			g.AddDelta(t)
+			g.Add(t)
 		}
 		return g
 	})
@@ -83,7 +83,7 @@ func TestOverlayForkCompact(t *testing.T) {
 			baseLen := base.Len()
 			g := base.Fork()
 			for _, tr := range ts[half:] {
-				g.AddDelta(tr)
+				g.Add(tr)
 			}
 			g.Compact()
 			if g.HasOverlay() || g.OverlayLen() != 0 {
@@ -93,7 +93,7 @@ func TestOverlayForkCompact(t *testing.T) {
 				if !g.Sharded() || g.ShardCount() != shards {
 					t.Fatalf("trial %d: Compact changed backend shape (want %d shards)", trial, shards)
 				}
-			} else if !g.Frozen() {
+			} else if g.Sharded() {
 				t.Fatalf("trial %d: Compact of a frozen base did not re-freeze", trial)
 			}
 			ref := rdf.GraphOf(ts...)
@@ -120,18 +120,18 @@ func TestOverlayCloneDeepCopies(t *testing.T) {
 		rdf.T(rdf.IRI("a"), rdf.IRI("p"), rdf.IRI("b")),
 		rdf.T(rdf.IRI("b"), rdf.IRI("p"), rdf.IRI("c")),
 	})
-	g.AddDeltaTriple("c", "p", "d")
+	g.AddTriple("c", "p", "d")
 	cl := g.Clone()
 	if cl.OverlayLen() != 1 || !cl.Contains(rdf.T(rdf.IRI("c"), rdf.IRI("p"), rdf.IRI("d"))) {
 		t.Fatalf("clone lost the overlay: len=%d", cl.OverlayLen())
 	}
 
 	// Writes on either side must stay invisible to the other.
-	g.AddDeltaTriple("d", "p", "e")
+	g.AddTriple("d", "p", "e")
 	if cl.Contains(rdf.T(rdf.IRI("d"), rdf.IRI("p"), rdf.IRI("e"))) {
 		t.Fatal("overlay write to the original leaked into the clone")
 	}
-	cl.AddDeltaTriple("x", "p", "y")
+	cl.AddTriple("x", "p", "y")
 	if g.Contains(rdf.T(rdf.IRI("x"), rdf.IRI("p"), rdf.IRI("y"))) {
 		t.Fatal("overlay write to the clone leaked into the original")
 	}
@@ -152,39 +152,45 @@ func TestOverlayCloneDeepCopies(t *testing.T) {
 }
 
 // The overlay write path must dedup against both the base and itself,
-// and a mutation through the plain Add path must thaw the graph and
-// fold the overlay at its sequence position.
+// and a re-seal must fold the overlay at its sequence position.
 func TestOverlayDedupAndThawFold(t *testing.T) {
 	g := rdf.GraphFromTriples([]rdf.Triple{
 		rdf.T(rdf.IRI("a"), rdf.IRI("p"), rdf.IRI("b")),
 	})
-	g.AddDeltaTriple("a", "p", "b") // already in base
-	g.AddDeltaTriple("b", "p", "c")
-	g.AddDeltaTriple("b", "p", "c") // already in overlay
+	g.AddTriple("a", "p", "b") // already in base
+	g.AddTriple("b", "p", "c")
+	g.AddTriple("b", "p", "c") // already in overlay
 	if g.OverlayLen() != 1 || g.Len() != 2 {
 		t.Fatalf("dedup failed: overlay=%d len=%d", g.OverlayLen(), g.Len())
 	}
 
-	g.AddTriple("c", "p", "d") // thaws; overlay folds in before the new triple
-	if g.Frozen() || g.Sharded() || g.HasOverlay() {
-		t.Fatal("thaw left the graph sealed or kept the overlay")
-	}
+	g.AddTriple("c", "p", "d")
 	ref := rdf.GraphOf(
 		rdf.T(rdf.IRI("a"), rdf.IRI("p"), rdf.IRI("b")),
 		rdf.T(rdf.IRI("b"), rdf.IRI("p"), rdf.IRI("c")),
 		rdf.T(rdf.IRI("c"), rdf.IRI("p"), rdf.IRI("d")),
 	)
 	if !backendtest.EqualStreams(ref, g) {
-		t.Fatal("thawed graph diverges from rebuilt reference")
+		t.Fatal("overlay graph diverges from rebuilt reference")
+	}
+	if g.Freeze(); g.HasOverlay() || !backendtest.EqualStreams(ref, g) {
+		t.Fatal("re-frozen graph kept the overlay or diverges from rebuilt reference")
 	}
 }
 
-// AddDelta on an unsealed graph is a plain Add: no overlay appears.
-func TestOverlayUnsealedFallsBackToAdd(t *testing.T) {
+// A fresh graph is an empty frozen base: writes land in its overlay,
+// and Freeze folds them into a base of their own.
+func TestOverlayOnEmptyBase(t *testing.T) {
 	g := rdf.NewGraph()
-	g.AddDelta(rdf.T(rdf.IRI("a"), rdf.IRI("p"), rdf.IRI("b")))
-	if g.HasOverlay() || g.Len() != 1 {
-		t.Fatalf("AddDelta on unsealed graph: overlay=%v len=%d", g.HasOverlay(), g.Len())
+	if g.HasOverlay() || g.Sharded() || g.Len() != 0 {
+		t.Fatalf("NewGraph: overlay=%v sharded=%v len=%d", g.HasOverlay(), g.Sharded(), g.Len())
+	}
+	g.Add(rdf.T(rdf.IRI("a"), rdf.IRI("p"), rdf.IRI("b")))
+	if g.OverlayLen() != 1 || g.Len() != 1 {
+		t.Fatalf("Add on a fresh graph: overlay=%d len=%d", g.OverlayLen(), g.Len())
+	}
+	if g.Freeze(); g.HasOverlay() || g.Len() != 1 {
+		t.Fatalf("Freeze: overlay=%v len=%d", g.HasOverlay(), g.Len())
 	}
 }
 
@@ -198,7 +204,7 @@ func TestOverlaySnapshotCompactsFirst(t *testing.T) {
 	}
 	base := rdf.GraphFromTriples(ts[:2])
 	g := base.Fork()
-	g.AddDelta(ts[2])
+	g.Add(ts[2])
 	path := t.TempDir() + "/ovl.wdsnap"
 	if err := g.WriteSnapshot(path); err != nil {
 		t.Fatalf("WriteSnapshot: %v", err)

@@ -30,9 +30,8 @@ package rdf
 //     non-empty the merge degenerates to the zero-copy single-shard
 //     answer.
 //
-// A sharded graph is immutable — the same concurrent-reader contract
-// as the frozen backend — and mutation through Add/AddID transparently
-// thaws it back to the map representation.
+// A sharded view is immutable — the same concurrent-reader contract
+// as the frozen backend — and writes go to the graph's overlay.
 
 // ShardedGraph is the compact immutable sharded index structure of a
 // graph sealed by Graph.Shard. All slices are built once by shardGraph
@@ -250,7 +249,7 @@ func (sg *ShardedGraph) contains(t IDTriple) bool {
 
 // candidates mirrors Graph.CandidatesID on the sharded indexes: every
 // returned list holds the same triples in the same global insertion
-// order as the map and frozen backends. Subject-bound shapes answer
+// order as the frozen backend. Subject-bound shapes answer
 // from one shard zero-copy; cross-shard shapes (P, O, PO) materialise
 // the sequence-number merge — the returned slice is then freshly
 // allocated and never aliases shard storage.
@@ -392,19 +391,18 @@ func (sg *ShardedGraph) count(p IDTriple) int {
 	}
 }
 
-// Shard seals the graph into the sharded backend with n shards (n ≥ 1;
-// Shard panics otherwise — the shard count is a programming decision,
-// not data). Like Freeze it releases the map indexes, returns its
-// receiver, and is idempotent for the same n; calling it with a
-// different n re-partitions from the insertion-order slice, and
-// calling it on a frozen graph replaces the frozen view (both without
-// rebuilding any map). Mutation thaws a sharded graph back to the map
-// backend exactly as it thaws a frozen one. Shard is a write
-// operation: it must not run concurrently with reads or other writes;
-// afterwards the graph is safe for any number of concurrent readers.
+// Shard folds the overlay and the base into one new sharded base with
+// n shards (n ≥ 1; Shard panics otherwise — the shard count is a
+// programming decision, not data). Like Freeze it returns its receiver
+// and is idempotent: a graph without an overlay already sharded n ways
+// is returned as is. A different n re-partitions from the
+// insertion-order slice; on a frozen base the sharded view replaces
+// the frozen one. Shard is a write operation: it must not run
+// concurrently with reads or other writes; afterwards a graph without
+// an overlay is safe for any number of concurrent readers.
 //
 // Every read operation returns the same triples in the same insertion
-// order as the map and frozen backends — the backends are mutually
+// order as on the frozen backend — the base shapes are mutually
 // unobservable (pinned by internal/rdf/backendtest).
 func (g *Graph) Shard(n int) *Graph {
 	if n < 1 {
@@ -417,11 +415,7 @@ func (g *Graph) Shard(n int) *Graph {
 	} else if g.shd != nil && g.shd.n == n {
 		return g
 	}
-	g.shd = shardGraph(g, n)
-	g.frz = nil
-	g.set = nil
-	g.byS, g.byP, g.byO = nil, nil, nil
-	g.bySP, g.byPO, g.bySO = nil, nil, nil
+	g.shd, g.frz = shardGraph(g, n), nil
 	return g
 }
 

@@ -1,4 +1,4 @@
-// Differential-suite instantiations for all three storage backends,
+// Differential-suite instantiations for the storage shapes,
 // plus unit tests for the sharded backend's own machinery: the
 // partition, the order-preserving sequence-number merge, and the
 // shard lifecycle.
@@ -14,8 +14,8 @@ import (
 	"wdsparql/internal/rdf/backendtest"
 )
 
-// The map backend against itself: a sanity check that the suite's
-// reference construction is self-consistent.
+// The overlay-only backend: GraphOf writes every triple into the
+// overlay of an empty frozen base.
 func TestBackendSuiteMap(t *testing.T) {
 	backendtest.RunBackendSuite(t, func(ts []rdf.Triple) *rdf.Graph {
 		return rdf.GraphOf(ts...)
@@ -109,13 +109,13 @@ func TestShardedPartitionBySubject(t *testing.T) {
 }
 
 // Shard lifecycle: idempotence at the same count, re-partition at a
-// different count, interplay with Freeze, thaw on mutation, and the
-// unusable shard counts panic.
+// different count, interplay with Freeze, writes on a sharded base,
+// and the unusable shard counts panic.
 func TestShardLifecycle(t *testing.T) {
 	g := gen.Random(12, 40, 3, 5)
 	g.Shard(3)
-	if !g.Sharded() || g.Frozen() || g.ShardCount() != 3 {
-		t.Fatalf("Shard(3): sharded=%v frozen=%v count=%d", g.Sharded(), g.Frozen(), g.ShardCount())
+	if !g.Sharded() || g.HasOverlay() || g.ShardCount() != 3 {
+		t.Fatalf("Shard(3): sharded=%v overlay=%v count=%d", g.Sharded(), g.HasOverlay(), g.ShardCount())
 	}
 	sg := g.Shards()
 	if g.Shard(3).Shards() != sg {
@@ -125,17 +125,21 @@ func TestShardLifecycle(t *testing.T) {
 		t.Fatal("Shard with a different count must re-partition")
 	}
 	g.Freeze()
-	if g.Sharded() || !g.Frozen() {
+	if g.Sharded() || g.ShardCount() != 1 {
 		t.Fatal("Freeze on a sharded graph must re-seal single-arena")
 	}
 	g.Shard(2)
-	if g.Sharded() != true || g.Frozen() {
+	if !g.Sharded() || g.ShardCount() != 2 {
 		t.Fatal("Shard on a frozen graph must replace the frozen view")
 	}
 	n := g.Len()
-	g.AddTriple("thaw-s", "thaw-p", "thaw-o")
-	if g.Sharded() || g.ShardCount() != 1 || g.Len() != n+1 {
-		t.Fatal("mutation must thaw a sharded graph")
+	g.AddTriple("added-s", "added-p", "added-o")
+	if g.Len() != n+1 || !g.Contains(rdf.T(rdf.IRI("added-s"), rdf.IRI("added-p"), rdf.IRI("added-o"))) {
+		t.Fatal("write to a sharded graph lost the triple")
+	}
+	g.AddTriple("added-s", "added-p", "added-o")
+	if g.Len() != n+1 {
+		t.Fatal("duplicate insert on a sharded graph")
 	}
 	c := g.Shard(2).Clone()
 	if !c.Sharded() || c.ShardCount() != 2 || !slices.Equal(c.TriplesID(), g.TriplesID()) {

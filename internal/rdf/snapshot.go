@@ -270,9 +270,7 @@ func snapshotSections(g *Graph) (kind uint8, shards uint32, secs []snapSection, 
 		snapSection{kind: secTriples, data: rawBytes(g.all)},
 		snapSection{kind: secOcc, data: rawBytes(g.occ)},
 	)
-	switch {
-	case g.shd != nil:
-		sg := g.shd
+	if sg := g.shd; sg != nil {
 		kind, shards = snapKindSharded, uint32(sg.n)
 		secs = append(secs,
 			snapSection{kind: secCntP, data: rawBytes(sg.cntP)},
@@ -289,11 +287,9 @@ func snapshotSections(g *Graph) (kind uint8, shards uint32, secs []snapSection, 
 				snapSection{kind: secSeqOP, shard: uint16(s), data: rawBytes(sh.seqOP)},
 			)
 		}
-	case g.frz != nil:
+	} else {
 		kind, shards = snapKindFrozen, 1
 		secs = append(secs, viewSections(g.frz, 0, false)...)
-	default:
-		return 0, 0, nil, fmt.Errorf("rdf: snapshot: graph is not sealed (call Freeze or Shard first)")
 	}
 	if int(shards) > int(^uint16(0))+1 {
 		return 0, 0, nil, fmt.Errorf("rdf: snapshot: %d shards exceed the format's shard limit", shards)
@@ -303,16 +299,11 @@ func snapshotSections(g *Graph) (kind uint8, shards uint32, secs []snapSection, 
 
 // WriteSnapshot writes the graph as a snapshot image at path,
 // crash-atomically: the bytes go to a temp file in path's directory,
-// are fsynced, and the temp file is renamed over path. The graph must
-// be sealed (frozen or sharded); WriteSnapshot freezes an unsealed
-// graph first, since only sealed arenas have a flat representation.
+// are fsynced, and the temp file is renamed over path. Only a sealed
+// base has a flat representation, so WriteSnapshot first compacts an
+// overlay into the base (see Compact).
 func (g *Graph) WriteSnapshot(path string) error {
-	if g.ovl != nil {
-		g.Compact() // only a sealed base has a flat representation; fold the write layer first
-	}
-	if g.frz == nil && g.shd == nil {
-		g.Freeze()
-	}
+	g.Compact()
 	kind, shards, secs, err := snapshotSections(g)
 	if err != nil {
 		return err

@@ -164,14 +164,6 @@ func LoadSnapshot(path string, mode SnapshotMode) (*Snapshot, error) {
 		}
 		return nil, fmt.Errorf("rdf: snapshot %s: %w", path, err)
 	}
-	if mapping != nil {
-		// The occurrence table is the one slice the mutation path
-		// (countID, via thaw-on-Add) updates in place rather than
-		// reallocating; on a read-only mapping that write would fault.
-		// Clone it to the heap — 4 bytes per IRI — so a loaded graph
-		// honours the same thaw-on-mutation contract as any other.
-		g.occ = slices.Clone(g.occ)
-	}
 	return &Snapshot{
 		g: g,
 		info: SnapshotInfo{

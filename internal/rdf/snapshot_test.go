@@ -3,7 +3,7 @@ package rdf_test
 // Snapshot round-trip and fault-injection tests. The round-trip half
 // instantiates the full differential backend suite over write→load
 // cycles (both kinds × both loaders), pinning a loaded snapshot to
-// byte-identical streams with the map-backed reference. The fault-
+// byte-identical streams with the scan reference. The fault-
 // injection half takes a valid image and breaks it every way the
 // format documents — truncation at every boundary, a bit flip in
 // every header/table byte and every section payload, version skew,
@@ -44,7 +44,7 @@ func roundTrip(t *testing.T, dir string, seq *int, g *rdf.Graph, mode rdf.Snapsh
 
 // TestSnapshotBackendSuite runs the differential backend suite over
 // snapshot round-trips: every read of a loaded graph must be
-// byte-identical (content and order) to the map-backed reference,
+// byte-identical (content and order) to the scan reference,
 // for both graph kinds and both loaders.
 func TestSnapshotBackendSuite(t *testing.T) {
 	for _, cfg := range []struct {
@@ -173,7 +173,7 @@ func TestSnapshotVerifyDeep(t *testing.T) {
 }
 
 // TestSnapshotBuilderWrite covers the GraphBuilder path and the
-// write-unsealed path (WriteSnapshot freezes on demand).
+// overlay path (WriteSnapshot compacts the overlay on demand).
 func TestSnapshotBuilderWrite(t *testing.T) {
 	dir := t.TempDir()
 	b := rdf.NewGraphBuilder(8)
@@ -201,8 +201,8 @@ func TestSnapshotBuilderWrite(t *testing.T) {
 	if err := unsealed.WriteSnapshot(path2); err != nil {
 		t.Fatalf("WriteSnapshot of unsealed graph: %v", err)
 	}
-	if !unsealed.Frozen() {
-		t.Error("WriteSnapshot must seal an unsealed graph")
+	if unsealed.HasOverlay() {
+		t.Error("WriteSnapshot must compact the overlay into the base")
 	}
 
 	if err := rdf.GraphOf().WriteSnapshot(filepath.Join(dir, "no/such/dir/x.wdsnap")); err == nil {

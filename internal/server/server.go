@@ -377,13 +377,10 @@ func (s *Server) snapshot() Stats {
 	}
 	defer eng.release()
 	g := eng.eng.Graph()
-	st.Backend = "map"
-	switch {
-	case g.Sharded():
+	st.Backend = "frozen"
+	if g.Sharded() {
 		st.Backend = "sharded"
 		st.Shards = g.ShardCount()
-	case g.Frozen():
-		st.Backend = "frozen"
 	}
 	st.Triples = g.Len()
 	st.Ingest.OverlaySize = g.OverlayLen()
