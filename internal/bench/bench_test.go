@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -124,7 +125,7 @@ func TestE7Agreement(t *testing.T) {
 func TestAblationTables(t *testing.T) {
 	a1 := A1FailFirst([]int{3}, 9)
 	for _, row := range a1.Rows {
-		if row[1] == "DISAGREE" {
+		if row[5] != "true" {
 			t.Fatalf("solvers disagree: %v", row)
 		}
 	}
@@ -280,6 +281,20 @@ func TestSuiteComposition(t *testing.T) {
 	for _, id := range []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14", "E15", "E16", "E17"} {
 		if !ids[id] {
 			t.Fatalf("missing %s", id)
+		}
+	}
+}
+
+// A1 and M1 cross-check several solvers, and wdbench's exit code sees
+// a divergence only through Table.Agreement, which reads the agree
+// columns alone: both tables must carry one, and it must read true.
+func TestA1M1AgreementGated(t *testing.T) {
+	for _, tbl := range []*Table{A1FailFirst([]int{3}, 9), M1Enumeration()} {
+		if !slices.Contains(tbl.Header, "agree") {
+			t.Fatalf("%s has no agree column, so wdbench cannot fail on a divergence: %v", tbl.ID, tbl.Header)
+		}
+		if !tbl.Agreement() {
+			t.Fatalf("%s: solvers disagree:\n%s", tbl.ID, tbl)
 		}
 	}
 }

@@ -57,10 +57,19 @@ func bindMatch(p, t rdf.Triple, assign rdf.Mapping) []string {
 // CountSearchNodes runs the production solver and returns the number
 // of search-tree nodes expanded before the first solution (or
 // exhaustion); used by the ablation benchmarks to report work rather
-// than only wall time.
+// than only wall time. Every recursion step is a node: the expanded
+// ones SearchStats counts plus the leaf of a found solution. A search
+// that fails before expanding anything (a constant absent from g)
+// still counts its root.
 func CountSearchNodes(pats []rdf.Triple, g *rdf.Graph) (found bool, nodes int) {
-	st := newSearch(pats, g, 1)
-	st.counting = true
-	st.run()
-	return len(st.found) > 0, st.nodes
+	var st SearchStats
+	solve(pats, g, &st, func(*rdf.SlotLayout, rdf.Row) bool {
+		found = true
+		return false
+	})
+	nodes = int(st.Nodes)
+	if found {
+		nodes++
+	}
+	return found, max(nodes, 1)
 }

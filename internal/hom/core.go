@@ -84,11 +84,3 @@ func applyVarMap(g GTGraph, h map[rdf.Term]rdf.Term) TGraph {
 	}
 	return NewTGraph(out...)
 }
-
-// CoreEquivalent reports whether two generalised t-graphs have
-// isomorphic cores, i.e. are homomorphically equivalent. By
-// Proposition 1 of the paper this is the right notion of "same core up
-// to renaming of variables".
-func CoreEquivalent(a, b GTGraph) bool {
-	return Equivalent(a, b)
-}

@@ -88,15 +88,17 @@ type SearchStats struct {
 	FilterPruned int64 // candidate bindings cut by a pushed filter before recursion
 }
 
-// countMemo caches the last selection count of one pattern, keyed on
-// the substituted pattern itself (bound-slot mask plus values — two
-// nodes that substitute the pattern identically share the count). The
-// graph is immutable for the searcher's lifetime, so entries never
-// expire.
-type countMemo struct {
-	pat   rdf.IDTriple
-	count int
-	ok    bool
+// patState is a searcher's scratch for one pattern: whether the
+// current branch has matched it, and its selection-count memo — the
+// last count, keyed on the substituted pattern itself (bound-slot mask
+// plus values — two nodes that substitute the pattern identically
+// share the count). The graph is immutable for the searcher's
+// lifetime, so memo entries never expire.
+type patState struct {
+	done   bool
+	memoOK bool
+	memo   rdf.IDTriple
+	count  int
 }
 
 // Tune sets the searcher's pattern-selection mode, strict-mode slack
@@ -113,77 +115,57 @@ func (s *RowSearcher) Tune(mode SearchMode, slack int, stats *SearchStats) {
 }
 
 // countOf renders pattern i under the current row and returns its
-// match count, memoized on the substituted pattern.
+// match count, memoized on the substituted pattern. pickPattern's scan
+// carries an inlined copy; keep the two in step.
 func (s *RowSearcher) countOf(i int) (int, rdf.IDTriple) {
 	p := s.substituteRow(i)
-	if !s.noMemo {
-		if m := &s.memo[i]; m.ok && m.pat == p {
-			if s.stats != nil {
-				s.stats.MemoHits++
-			}
-			return m.count, p
+	st := &s.state[i]
+	if st.memoOK && st.memo == p && !s.noMemo {
+		if s.stats != nil {
+			s.stats.MemoHits++
 		}
+		return st.count, p
 	}
-	c := s.prog.g.MatchCountID(p)
-	if !s.noMemo {
-		s.memo[i] = countMemo{pat: p, count: c, ok: true}
-	}
+	c := s.g.MatchCountID(p)
+	st.memoOK, st.memo, st.count = true, p, c
 	if s.stats != nil {
 		s.stats.CountProbes++
 	}
 	return c, p
 }
 
-// pickScored is the fail-first argmin over every remaining pattern
-// (lowest index wins ties) with complete dead detection — ModePlanned,
-// and the strict mode's escape hatch.
-func (s *RowSearcher) pickScored() (best int, bestPat rdf.IDTriple, dead bool) {
-	best, bestCount := -1, -1
-	for i := range s.prog.pats {
-		if s.done[i] {
-			continue
-		}
-		c, p := s.countOf(i)
-		if c == 0 {
-			return -1, rdf.IDTriple{}, true
-		}
-		if best == -1 || c < bestCount {
-			best, bestCount, bestPat = i, c, p
-		}
-	}
-	return best, bestPat, false
-}
-
 // pickStrict follows the plan order: the first remaining pattern in
 // the compiled order is the choice, its (memoized) count the dead
-// check, and the plan's estimate the divergence baseline. Programs
-// compiled without a plan fall back to the full re-score, and so do
-// volatile (cyclic) plans: there a branch can die on a pattern the
-// static order reaches late, so the single-probe dead check would
-// expand doomed subtrees the scan prunes at the parent — the planner
-// decides at compile time that full re-scoring is the cheaper policy.
-func (s *RowSearcher) pickStrict() (int, rdf.IDTriple, bool) {
+// check, and the plan's estimate the divergence baseline. ok=false
+// sends the node to pickPattern's full fail-first re-score: when the
+// actual count exceeds the estimate by more than the slack factor,
+// for programs compiled without a plan, and for volatile (cyclic)
+// plans — there a branch can die on a pattern the static order
+// reaches late, so the single-probe dead check would expand doomed
+// subtrees the scan prunes at the parent; the planner decides at
+// compile time that full re-scoring is the cheaper policy.
+func (s *RowSearcher) pickStrict() (best int, bestPat rdf.IDTriple, dead, ok bool) {
 	pl := s.prog.plan
 	if pl == nil || pl.Volatile() {
-		return s.pickScored()
+		return -1, rdf.IDTriple{}, false, false
 	}
 	for _, i := range pl.Order() {
-		if s.done[i] {
+		if s.state[i].done {
 			continue
 		}
 		c, p := s.countOf(i)
 		if c == 0 {
-			return -1, rdf.IDTriple{}, true
+			return -1, rdf.IDTriple{}, true, true
 		}
 		if float64(c) > s.slack*max(1, pl.Est(i)) {
 			if s.stats != nil {
 				s.stats.Rescored++
 			}
-			return s.pickScored()
+			return -1, rdf.IDTriple{}, false, false
 		}
-		return i, p, false
+		return i, p, false, true
 	}
-	return -1, rdf.IDTriple{}, true // rec stops at remaining==0 first
+	return -1, rdf.IDTriple{}, true, true // rec stops at remaining==0 first
 }
 
 // CompileRowProgramPlanned compiles the patterns like CompileRowProgram

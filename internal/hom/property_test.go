@@ -11,40 +11,57 @@ import (
 // Property tests validating the solver against a brute-force oracle
 // and the core computation against Proposition 1's guarantees.
 
-// bruteExists enumerates every total assignment vars → dom(G) and
-// checks the triples directly; exponential, only for tiny instances.
-func bruteExists(pats []rdf.Triple, g *rdf.Graph) bool {
+// bruteAll enumerates every total assignment vars → dom(G) and
+// returns those that map every pattern into g: the complete solution
+// set, each homomorphism once. Exponential, only for tiny instances.
+func bruteAll(pats []rdf.Triple, g *rdf.Graph) []rdf.Mapping {
 	vars := rdf.VarsOf(pats)
 	dom := g.Dom()
-	if len(vars) == 0 {
-		for _, p := range pats {
-			if !g.Contains(p) {
-				return false
-			}
-		}
-		return true
-	}
 	assign := rdf.NewMapping()
-	var rec func(i int) bool
-	rec = func(i int) bool {
+	var out []rdf.Mapping
+	var rec func(i int)
+	rec = func(i int) {
 		if i == len(vars) {
 			for _, p := range pats {
 				if !g.Contains(assign.Apply(p)) {
-					return false
+					return
 				}
 			}
-			return true
+			out = append(out, assign.Clone())
+			return
 		}
 		for _, d := range dom {
 			assign[vars[i].Value] = d
-			if rec(i + 1) {
-				return true
-			}
+			rec(i + 1)
 		}
 		delete(assign, vars[i].Value)
+	}
+	rec(0)
+	return out
+}
+
+// bruteExists decides existence off the brute-force solution set.
+func bruteExists(pats []rdf.Triple, g *rdf.Graph) bool {
+	return len(bruteAll(pats, g)) > 0
+}
+
+// sameSolutions reports whether got lists exactly the mappings of
+// want, each once (want is duplicate-free).
+func sameSolutions(got, want []rdf.Mapping) bool {
+	if len(got) != len(want) {
 		return false
 	}
-	return rec(0)
+	keys := make(map[string]bool, len(want))
+	for _, m := range want {
+		keys[m.Key()] = true
+	}
+	for _, m := range got {
+		if !keys[m.Key()] {
+			return false
+		}
+		delete(keys, m.Key())
+	}
+	return true
 }
 
 func randTinyInstance(rng *rand.Rand) ([]rdf.Triple, *rdf.Graph) {
@@ -96,18 +113,11 @@ func TestQuickFindAllMatchesBrute(t *testing.T) {
 				}
 			}
 		}
-		// ...and no duplicates.
-		seen := map[string]bool{}
-		for _, m := range all {
-			k := m.Key()
-			if seen[k] {
-				t.Fatalf("trial %d: duplicate %s", trial, m)
-			}
-			seen[k] = true
-		}
-		// Existence agrees.
-		if (len(all) > 0) != bruteExists(pats, g) {
-			t.Fatalf("trial %d: FindAll emptiness disagrees with brute force", trial)
+		// ...and the solutions are exactly the brute-force set, each
+		// once: sound, complete, duplicate-free.
+		if want := bruteAll(pats, g); !sameSolutions(all, want) {
+			t.Fatalf("trial %d: FindAll %v, brute force %v\npats=%v\nG=%s",
+				trial, all, want, pats, rdf.FormatGraph(g))
 		}
 	}
 }
@@ -197,6 +207,39 @@ func TestCountSearchNodesAgrees(t *testing.T) {
 		}
 		if nodes <= 0 {
 			t.Fatalf("trial %d: nonpositive node count", trial)
+		}
+	}
+}
+
+// CountSearchNodes counts every recursion step of the search: each
+// expanded node, each dead end, and the leaf of a found solution. The
+// hand-worked instances pin that meaning (A1's "search nodes" column).
+func TestCountSearchNodesPinned(t *testing.T) {
+	g := rdf.NewGraph()
+	g.AddTriple("a", "p", "b")
+	g.AddTriple("b", "p", "c")
+	x, y, z, w := rdf.Var("x"), rdf.Var("y"), rdf.Var("z"), rdf.Var("w")
+	p := rdf.IRI("p")
+	cases := []struct {
+		name  string
+		pats  []rdf.Triple
+		found bool
+		nodes int
+	}{
+		// The search fails before expanding anything; the root counts.
+		{"absent constant", []rdf.Triple{rdf.T(x, rdf.IRI("nowhere"), y)}, false, 1},
+		// The root is itself the leaf of the empty homomorphism.
+		{"empty pattern", nil, true, 1},
+		// Root (tie on count 2: first pattern), x=a,y=b (then y p ?z has
+		// one match), z=c leaf.
+		{"chain of 2", []rdf.Triple{rdf.T(x, p, y), rdf.T(y, p, z)}, true, 3},
+		// Root; x=a,y=b; z=c dies on (c p ?w); x=b,y=c dies on (c p ?z).
+		{"path of 3 refuted", []rdf.Triple{rdf.T(x, p, y), rdf.T(y, p, z), rdf.T(z, p, w)}, false, 4},
+	}
+	for _, c := range cases {
+		found, nodes := CountSearchNodes(c.pats, g)
+		if found != c.found || nodes != c.nodes {
+			t.Errorf("%s: CountSearchNodes = (%v, %d), want (%v, %d)", c.name, found, nodes, c.found, c.nodes)
 		}
 	}
 }

@@ -1,20 +1,54 @@
 package hom
 
 import (
+	"slices"
+
 	"wdsparql/internal/plan"
 	"wdsparql/internal/rdf"
 )
 
-// This file is the row-native face of the homomorphism solver: the
-// same compiled backtracking search as solver.go, but with variables
-// carrying caller-assigned global slots (an rdf.SlotLayout shared by a
-// whole pattern tree) and matches emitted directly as bindings into a
-// caller-provided flat row — no rdf.Mapping is built and no string is
-// decoded. This is what the top-down enumeration of ⟦T⟧G streams
-// solutions out of: the partial solution accumulated down a wdPT
-// branch *is* the row, bound slots act as constants of the search
-// (the paper's "extends µ" side condition), and newly matched slots
-// are written in place and undone on backtrack.
+// This file is the homomorphism solver's one backtracking kernel:
+// search from a set of triple patterns into an RDF graph as a
+// backtracking join. At every step the remaining pattern with the
+// fewest matches under the current partial assignment is expanded (a
+// fail-first / most-constrained-first heuristic), and its matches,
+// ordered succeed-first, drive the branching.
+//
+// The search is integer-native: patterns are compiled once against the
+// graph's term dictionary and a caller-assigned rdf.SlotLayout
+// (variables become dense slots, IRIs become TermIDs), the partial
+// assignment is a flat rdf.Row, and candidate selection runs on the
+// graph's ID posting lists through the LookupRangeID backend seam: on
+// a frozen graph the selectivity counts of the fail-first heuristic
+// are O(1) offset probes (O(log) for two bound positions) and exact
+// candidate ranges skip the per-triple pattern filter entirely.
+// Matches are emitted as bindings into the caller's row — no
+// rdf.Mapping is built and no string is decoded. This is what the
+// top-down enumeration of ⟦T⟧G streams solutions out of: the partial
+// solution accumulated down a wdPT branch *is* the row, bound slots
+// act as constants of the search (the paper's "extends µ" side
+// condition), and newly matched slots are written in place and undone
+// on backtrack. The string-level entry points (Exists, FindAll, Hom,
+// ...; solver.go) are thin wrappers over the same kernel.
+
+// cpat is a compiled triple pattern: code[i] ≥ 0 is a variable slot,
+// code[i] < 0 encodes the IRI TermID ^code[i] (IRI IDs are dense below
+// 2³¹ and fit an int32 after complement).
+type cpat struct {
+	code [3]int32
+}
+
+// scoredCand is a matching candidate triple together with its
+// value-ordering score.
+type scoredCand struct {
+	t     rdf.IDTriple
+	score int64
+}
+
+// reuseBonus dominates any realistic occurrence count, so candidates
+// that reuse values already in the homomorphism image always sort
+// before candidates that merely bind well-connected fresh values.
+const reuseBonus = int64(1) << 32
 
 // RowProgram is a set of triple patterns compiled once against a graph
 // and a slot layout: variables become layout slots, IRI constants
@@ -39,7 +73,14 @@ type RowProgram struct {
 // into the layout. Patterns whose constants are unknown to the graph's
 // dictionary yield a program with no matches.
 func CompileRowProgram(pats []rdf.Triple, g *rdf.Graph, layout *rdf.SlotLayout) *RowProgram {
-	p := &RowProgram{g: g, pats: make([]cpat, len(pats))}
+	p := new(RowProgram)
+	p.compile(pats, g, layout)
+	return p
+}
+
+// compile is CompileRowProgram into p.
+func (p *RowProgram) compile(pats []rdf.Triple, g *rdf.Graph, layout *rdf.SlotLayout) {
+	*p = RowProgram{g: g, pats: make([]cpat, len(pats))}
 	dict := g.Dict()
 	for pi, pat := range pats {
 		for i, term := range pat.Terms() {
@@ -58,31 +99,31 @@ func CompileRowProgram(pats []rdf.Triple, g *rdf.Graph, layout *rdf.SlotLayout) 
 			p.pats[pi].code[i] = ^int32(id)
 		}
 	}
-	return p
 }
 
 // Width returns the minimum row length the program's Run accepts.
 func (p *RowProgram) Width() int { return p.width }
 
 // RowSearcher carries the mutable scratch of one search over a
-// RowProgram (pattern done-flags, per-depth candidate buffers, and
-// the dense stack of currently-bound values). A searcher is not safe
+// RowProgram (pattern done-flags and count memos, the candidate stack,
+// and the dense stack of currently-bound values). A searcher is not safe
 // for concurrent use, but is reusable across any number of sequential
 // Run calls; parallel enumeration gives each worker its own searcher
 // over the shared program.
 type RowSearcher struct {
 	prog   *RowProgram
-	done   []bool
-	bufs   [][]scoredCand
+	g      *rdf.Graph // prog.g and prog.pats, hoisted for the hot loop
+	pats   []cpat
+	state  []patState   // per pattern: done flag and selection-count memo
+	cands  []scoredCand // candidate stack: each expanded node's scored matches
 	assign rdf.Row      // the caller's row, during Run
 	bound  []rdf.TermID // values bound in assign, maintained across bind/unbind
 
-	// Pattern-selection policy and its scratch; see planner.go.
+	// Pattern-selection policy; see planner.go.
 	mode   SearchMode
 	slack  float64 // strict-mode divergence factor
 	stats  *SearchStats
-	memo   []countMemo // per-pattern selection-count memo
-	noMemo bool        // benchmark knob: disable the memo
+	noMemo bool // benchmark knob: disable the memo
 
 	// Filter-pushdown scratch; nil when the program has no filters
 	// (the search then pays nothing). See filter.go.
@@ -92,15 +133,22 @@ type RowSearcher struct {
 
 // NewSearcher returns a fresh searcher for the program.
 func (p *RowProgram) NewSearcher() *RowSearcher {
-	s := &RowSearcher{
+	s := new(RowSearcher)
+	p.initSearcher(s)
+	return s
+}
+
+// initSearcher is NewSearcher into s.
+func (p *RowProgram) initSearcher(s *RowSearcher) {
+	*s = RowSearcher{
 		prog:  p,
-		done:  make([]bool, len(p.pats)),
-		bufs:  make([][]scoredCand, len(p.pats)),
-		memo:  make([]countMemo, len(p.pats)),
+		g:     p.g,
+		pats:  p.pats,
+		state: make([]patState, len(p.pats)),
+		bound: make([]rdf.TermID, 0, p.width),
 		slack: float64(DefaultSlack),
 	}
 	s.initFilterScratch()
-	return s
 }
 
 // Run enumerates all homomorphisms from the program's patterns into
@@ -149,7 +197,7 @@ func (s *RowSearcher) seedBound(assign rdf.Row) {
 // slot).
 func (s *RowSearcher) substituteRow(i int) rdf.IDTriple {
 	var out rdf.IDTriple
-	cp := &s.prog.pats[i]
+	cp := &s.pats[i]
 	for pos := 0; pos < 3; pos++ {
 		c := cp.code[pos]
 		if c < 0 {
@@ -165,9 +213,10 @@ func (s *RowSearcher) substituteRow(i int) rdf.IDTriple {
 	return out
 }
 
-// rec mirrors search.rec in solver.go: expand the remaining pattern
-// with the fewest matches (fail-first), order its candidates
-// succeed-first, bind the newly determined slots in place.
+// rec expands one remaining pattern (remaining counts the patterns not
+// yet matched): pick it (fail-first under the default mode), order its
+// candidates succeed-first, bind the newly determined slots in place
+// and recurse. It returns false when yield stopped the search.
 func (s *RowSearcher) rec(remaining int, yield func() bool) bool {
 	if remaining == 0 {
 		return yield()
@@ -179,16 +228,10 @@ func (s *RowSearcher) rec(remaining int, yield func() bool) bool {
 	if dead {
 		return true // dead branch
 	}
-	s.done[best] = true
-	depth := len(s.prog.pats) - remaining
-	for _, sc := range s.scoredCandidates(best, bestPat, depth) {
-		if !s.bindAndRec(best, sc.t, remaining, yield) {
-			s.done[best] = false
-			return false
-		}
-	}
-	s.done[best] = false
-	return true
+	top := len(s.cands)
+	more := s.expand(best, s.scoredCandidates(best, bestPat), remaining, yield)
+	s.cands = s.cands[:top]
+	return more
 }
 
 // pickPattern chooses the remaining pattern to expand under the
@@ -197,29 +240,46 @@ func (s *RowSearcher) rec(remaining int, yield func() bool) bool {
 // pattern on ties — the deterministic branch decision every split of
 // the same search state reproduces (SplitTop and RunOn rely on
 // exactly that). dead reports that a probed pattern has no matches at
-// all, pruning the whole branch. The early break on a count-1 pattern
-// is sound for the choice (1 is the global minimum on a live branch)
-// but blind to later zero-count patterns; ModePlanned trades the
-// break for complete dead detection.
+// all, pruning the whole branch. ModeHeuristic stops the scan at the
+// first count-1 pattern: sound for the choice (1 is the global minimum
+// on a live branch) but blind to later zero-count patterns. The other
+// modes scan every remaining pattern — complete dead detection; strict
+// mode scans only when its plan order gives way (pickStrict).
 func (s *RowSearcher) pickPattern() (best int, bestPat rdf.IDTriple, dead bool) {
-	switch s.mode {
-	case ModePlanned:
-		return s.pickScored()
-	case ModeStrict:
-		return s.pickStrict()
+	if s.mode == ModeStrict {
+		if best, bestPat, dead, ok := s.pickStrict(); ok {
+			return best, bestPat, dead
+		}
 	}
+	earlyBreak := s.mode == ModeHeuristic
 	best, bestCount := -1, -1
-	for i := range s.prog.pats {
-		if s.done[i] {
+	for i := range s.pats {
+		st := &s.state[i]
+		if st.done {
 			continue
 		}
-		c, p := s.countOf(i)
+		// countOf, inlined by hand: this scan is the kernel's hottest
+		// loop, and the call alone measured ~8% on E7's naive series.
+		p := s.substituteRow(i)
+		var c int
+		if st.memoOK && st.memo == p && !s.noMemo {
+			c = st.count
+			if s.stats != nil {
+				s.stats.MemoHits++
+			}
+		} else {
+			c = s.g.MatchCountID(p)
+			st.memoOK, st.memo, st.count = true, p, c
+			if s.stats != nil {
+				s.stats.CountProbes++
+			}
+		}
 		if c == 0 {
 			return -1, rdf.IDTriple{}, true
 		}
 		if best == -1 || c < bestCount {
 			best, bestCount, bestPat = i, c, p
-			if c == 1 {
+			if c == 1 && earlyBreak {
 				break
 			}
 		}
@@ -227,13 +287,31 @@ func (s *RowSearcher) pickPattern() (best int, bestPat rdf.IDTriple, dead bool) 
 	return best, bestPat, false
 }
 
-// scoredCandidates materialises the candidate triples of pattern best
-// (rendered as bestPat under the current row) into the per-depth
-// buffer, scored and ordered succeed-first.
-func (s *RowSearcher) scoredCandidates(best int, bestPat rdf.IDTriple, depth int) []scoredCand {
-	g := s.prog.g
-	cp := &s.prog.pats[best]
-	cands := s.bufs[depth][:0]
+// scoredCandidates pushes the candidate triples of pattern best
+// (rendered as bestPat under the current row) onto the candidate
+// stack, scored and ordered succeed-first, and returns them; the
+// caller pops them (truncates the stack back) when done. A deeper
+// push may move the stack, but never writes the returned entries.
+//
+// The succeed-first score is a large bonus for every newly bound value
+// that is already in the image of the partial homomorphism (or a
+// constant of the pattern) — reusing a value adds no constraints
+// beyond those already checked and steers towards small-image,
+// folding-style homomorphisms — plus the occurrence count of each
+// fresh value (well-connected values are the likeliest to extend; cf.
+// degree ordering in subgraph isomorphism). On refutations the order
+// is irrelevant since the search exhausts the subtree anyway.
+func (s *RowSearcher) scoredCandidates(best int, bestPat rdf.IDTriple) []scoredCand {
+	g := s.g
+	cp := &s.pats[best]
+	stack := s.cands // a local copy keeps the append loop in registers
+	top := len(stack)
+	if !bestPat[0].IsVar() && !bestPat[1].IsVar() && !bestPat[2].IsVar() {
+		// A ground pattern's only candidate is itself, and its
+		// selection count already proved membership.
+		s.cands = append(stack, scoredCand{t: bestPat})
+		return s.cands[top:]
+	}
 	raw, exact := g.LookupRangeID(bestPat)
 	for _, t := range raw {
 		if !exact && !rdf.MatchesPatternID(bestPat, t) {
@@ -248,60 +326,70 @@ func (s *RowSearcher) scoredCandidates(best int, bestPat rdf.IDTriple, depth int
 				score += int64(g.OccurrencesID(t[pos]))
 			}
 		}
-		cands = append(cands, scoredCand{t: t, score: score})
+		stack = append(stack, scoredCand{t: t, score: score})
 	}
-	s.bufs[depth] = cands
+	s.cands = stack
+	cands := stack[top:]
 	if len(cands) > 1 {
 		sortCands(cands)
 	}
 	return cands
 }
 
-// bindAndRec binds the fresh slots of pattern best to the candidate
-// triple t, recurses into the remaining patterns, and restores the row
-// and the bound stack on the way out. A pushed filter whose last slot
-// binds here is evaluated immediately; anything but true prunes the
-// subtree below this candidate (the recursion is skipped, the binding
-// undone, and the sibling candidates continue — a pure subsequence of
-// the unfiltered exploration).
-func (s *RowSearcher) bindAndRec(best int, t rdf.IDTriple, remaining int, yield func() bool) bool {
-	cp := &s.prog.pats[best]
-	var newSlots [3]int32
-	n := 0
-	pruned := false
-	for pos := 0; pos < 3; pos++ {
-		c := cp.code[pos]
-		if c >= 0 && s.assign[c] == rdf.Unbound {
-			s.assign[c] = t[pos]
-			s.bound = append(s.bound, t[pos])
-			newSlots[n] = c
-			n++
-			if s.fWatch != nil {
-				for _, fi := range s.fWatch[c] {
-					s.fRemaining[fi]--
-					if !pruned && s.fRemaining[fi] == 0 && s.prog.filters[fi].expr.Eval(s.assign) != TriTrue {
-						pruned = true
+// expand matches pattern best against each candidate in turn: it
+// binds the candidate's fresh slots, recurses into the remaining
+// patterns, and restores the row and the bound stack on the way out.
+// A pushed filter whose last slot binds here is evaluated immediately;
+// anything but true prunes the subtree below this candidate (the
+// recursion is skipped, the binding undone, and the sibling candidates
+// continue — a pure subsequence of the unfiltered exploration). expand
+// returns false when yield stopped the search.
+func (s *RowSearcher) expand(best int, cands []scoredCand, remaining int, yield func() bool) bool {
+	cp := &s.pats[best]
+	s.state[best].done = true
+	more := true
+	for _, sc := range cands {
+		t := sc.t
+		var newSlots [3]int32
+		n := 0
+		pruned := false
+		for pos := 0; pos < 3; pos++ {
+			c := cp.code[pos]
+			if c >= 0 && s.assign[c] == rdf.Unbound {
+				s.assign[c] = t[pos]
+				s.bound = append(s.bound, t[pos])
+				newSlots[n] = c
+				n++
+				if s.fWatch != nil {
+					for _, fi := range s.fWatch[c] {
+						s.fRemaining[fi]--
+						if !pruned && s.fRemaining[fi] == 0 && s.prog.filters[fi].expr.Eval(s.assign) != TriTrue {
+							pruned = true
+						}
 					}
 				}
 			}
 		}
-	}
-	more := true
-	if !pruned {
-		more = s.rec(remaining-1, yield)
-	} else if s.stats != nil {
-		s.stats.FilterPruned++
-	}
-	for j := 0; j < n; j++ {
-		c := newSlots[j]
-		s.assign[c] = rdf.Unbound
-		if s.fWatch != nil {
-			for _, fi := range s.fWatch[c] {
-				s.fRemaining[fi]++
+		if !pruned {
+			more = s.rec(remaining-1, yield)
+		} else if s.stats != nil {
+			s.stats.FilterPruned++
+		}
+		for j := 0; j < n; j++ {
+			c := newSlots[j]
+			s.assign[c] = rdf.Unbound
+			if s.fWatch != nil {
+				for _, fi := range s.fWatch[c] {
+					s.fRemaining[fi]++
+				}
 			}
 		}
+		s.bound = s.bound[:len(s.bound)-n]
+		if !more {
+			break
+		}
 	}
-	s.bound = s.bound[:len(s.bound)-n]
+	s.state[best].done = false
 	return more
 }
 
@@ -336,11 +424,12 @@ func (s *RowSearcher) SplitTop(assign rdf.Row) ([]rdf.IDTriple, bool) {
 	best, bestPat, dead := s.pickPattern()
 	var out []rdf.IDTriple
 	if !dead {
-		cands := s.scoredCandidates(best, bestPat, 0)
+		cands := s.scoredCandidates(best, bestPat)
 		out = make([]rdf.IDTriple, len(cands))
 		for i, sc := range cands {
 			out[i] = sc.t
 		}
+		s.cands = s.cands[:0]
 	}
 	s.assign = nil
 	return out, true
@@ -369,9 +458,7 @@ func (s *RowSearcher) RunOn(assign rdf.Row, t rdf.IDTriple, yield func() bool) b
 	best, _, dead := s.pickPattern()
 	ok := true
 	if !dead {
-		s.done[best] = true
-		ok = s.bindAndRec(best, t, len(p.pats), yield)
-		s.done[best] = false
+		ok = s.expand(best, []scoredCand{{t: t}}, len(p.pats), yield)
 	}
 	s.assign = nil
 	return ok
@@ -379,7 +466,7 @@ func (s *RowSearcher) RunOn(assign rdf.Row, t rdf.IDTriple, yield func() bool) b
 
 // rowInImage reports whether the value is already in the image of the
 // partial solution row (any bound slot) or a constant of the pattern
-// being expanded; see search.inImage for the value-ordering rationale.
+// being expanded; see scoredCandidates for the value-ordering rationale.
 // The scan runs over the dense bound-value stack — whose length is
 // the number of bound slots — not over the full (mostly unbound)
 // forest-wide row. Measured on the E9 enumeration workload this is
@@ -404,8 +491,7 @@ func (s *RowSearcher) rowInImage(v rdf.TermID, pat rdf.IDTriple) bool {
 // layout (interning any new pattern variables), up to limit (≤ 0 means
 // no limit). Slots of the layout outside vars(pats) are Unbound.
 func FindAllID(pats []rdf.Triple, g *rdf.Graph, layout *rdf.SlotLayout, limit int) []rdf.Row {
-	prog := CompileRowProgram(pats, g, layout)
-	return collectRows(prog, layout.NewRow(), limit)
+	return FindAllExtendingID(pats, g, layout, nil, limit)
 }
 
 // FindAllExtendingID returns all homomorphism rows extending the
@@ -418,14 +504,41 @@ func FindAllExtendingID(pats []rdf.Triple, g *rdf.Graph, layout *rdf.SlotLayout,
 	// search on a widened copy so base stays untouched.
 	row := layout.NewRow()
 	copy(row, base)
-	return collectRows(prog, row, limit)
-}
-
-func collectRows(prog *RowProgram, row rdf.Row, limit int) []rdf.Row {
 	var out []rdf.Row
 	prog.NewSearcher().Run(row, func() bool {
 		out = append(out, row.Clone())
 		return limit <= 0 || len(out) < limit
 	})
 	return out
+}
+
+// sortCands orders candidates by descending score, ties broken by
+// ascending triple ID for determinism. Candidate lists on the chosen
+// (most constrained) pattern are typically short, so insertion sort
+// wins below a cutoff; larger lists fall back to slices.SortFunc.
+func sortCands(cands []scoredCand) {
+	if len(cands) <= 32 {
+		for i := 1; i < len(cands); i++ {
+			for j := i; j > 0 && candLess(cands[j], cands[j-1]); j-- {
+				cands[j], cands[j-1] = cands[j-1], cands[j]
+			}
+		}
+		return
+	}
+	slices.SortFunc(cands, func(a, b scoredCand) int {
+		switch {
+		case candLess(a, b):
+			return -1
+		case candLess(b, a):
+			return 1
+		}
+		return 0
+	})
+}
+
+func candLess(a, b scoredCand) bool {
+	if a.score != b.score {
+		return a.score > b.score
+	}
+	return a.t.Less(b.t)
 }

@@ -7,10 +7,10 @@ import (
 	"wdsparql/internal/rdf"
 )
 
-// The row-native solver must agree exactly with the string solver: for
-// random patterns over random graphs, FindAllID decoded equals
-// FindAll, and FindAllExtendingID respects base-row bindings the way
-// FindExtending respects µ.
+// The row-native one-shot forms against the brute-force oracle: for
+// random patterns over random graphs, FindAllID decodes to exactly the
+// complete solution set, and FindAllExtendingID to exactly the
+// solutions that agree with the base row's bindings.
 
 func randRowGraph(rng *rand.Rand) *rdf.Graph {
 	g := rdf.NewGraph()
@@ -46,23 +46,20 @@ func TestFindAllIDAgreesWithFindAll(t *testing.T) {
 	for c := 0; c < 200; c++ {
 		g := randRowGraph(rng)
 		pats := randRowPats(rng)
-		want := FindAll(pats, g, 0)
 		layout := rdf.NewSlotLayout()
-		rows := FindAllID(pats, g, layout, 0)
-		if len(rows) != len(want) {
-			t.Fatalf("case %d: %v: %d rows, %d mappings", c, pats, len(rows), len(want))
-		}
-		seen := rdf.NewMappingSet()
-		for _, m := range want {
-			seen.Add(m)
-		}
-		for _, r := range rows {
-			m := layout.DecodeRow(g.Dict(), r)
-			if !seen.Contains(m) {
-				t.Fatalf("case %d: row decodes to non-solution %s", c, m)
-			}
+		got := decodeRows(layout, g, FindAllID(pats, g, layout, 0))
+		if want := bruteAll(pats, g); !sameSolutions(got, want) {
+			t.Fatalf("case %d: %v: rows decode to %v, brute force %v", c, pats, got, want)
 		}
 	}
+}
+
+func decodeRows(layout *rdf.SlotLayout, g *rdf.Graph, rows []rdf.Row) []rdf.Mapping {
+	out := make([]rdf.Mapping, len(rows))
+	for i, r := range rows {
+		out[i] = layout.DecodeRow(g.Dict(), r)
+	}
+	return out
 }
 
 func TestFindAllIDLimit(t *testing.T) {
@@ -83,39 +80,30 @@ func TestFindAllExtendingID(t *testing.T) {
 	for c := 0; c < 200; c++ {
 		g := randRowGraph(rng)
 		pats := randRowPats(rng)
+		all := bruteAll(pats, g)
+		if len(all) == 0 {
+			continue
+		}
+		// Use the first solution's binding of its first variable as µ.
+		vars := rdf.VarsOf(pats)
+		if len(vars) == 0 {
+			continue
+		}
+		pin, val := vars[0].Value, all[0][vars[0].Value]
 		layout := rdf.NewSlotLayout()
-		full := FindAllID(pats, g, layout, 0)
-		if len(full) == 0 {
-			continue
-		}
-		// Use the first solution's binding of its first bound slot as µ.
+		slot := layout.Intern(pin)
 		base := layout.NewRow()
-		pin := -1
-		for s, v := range full[0] {
-			if v != rdf.Unbound {
-				base[s] = v
-				pin = s
-				break
+		base[slot], _ = g.Dict().LookupIRI(val)
+		got := decodeRows(layout, g, FindAllExtendingID(pats, g, layout, base, 0))
+		// Reference: every brute-force solution agreeing with µ.
+		var want []rdf.Mapping
+		for _, m := range all {
+			if m[pin] == val {
+				want = append(want, m)
 			}
 		}
-		if pin < 0 {
-			continue
-		}
-		got := FindAllExtendingID(pats, g, layout, base, 0)
-		// Reference: every full solution whose pin slot matches.
-		wantN := 0
-		for _, r := range full {
-			if r[pin] == base[pin] {
-				wantN++
-			}
-		}
-		if len(got) != wantN {
-			t.Fatalf("case %d: extending rows %d, want %d", c, len(got), wantN)
-		}
-		for _, r := range got {
-			if r[pin] != base[pin] {
-				t.Fatalf("case %d: extension dropped base binding", c)
-			}
+		if !sameSolutions(got, want) {
+			t.Fatalf("case %d: %v: extending %s=%s gives %v, want %v", c, pats, pin, val, got, want)
 		}
 	}
 }

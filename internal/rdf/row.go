@@ -45,13 +45,19 @@ func (r Row) Clone() Row { return append(Row(nil), r...) }
 // Interning new variables is not safe for concurrent use; a fully
 // compiled layout is read-only and safe for concurrent readers.
 type SlotLayout struct {
-	names []string // slot → variable name (no sigil)
-	index map[string]int
+	names []string       // slot → variable name (no sigil)
+	index map[string]int // name → slot, built once names outgrow a scan
 }
 
-// NewSlotLayout returns an empty layout.
+// layoutScanMax is the layout size up to which name lookups scan
+// names instead of hashing: most patterns have a handful of variables,
+// and a one-shot search then allocates no map at all.
+const layoutScanMax = 8
+
+// NewSlotLayout returns an empty layout. The zero SlotLayout is empty
+// too, ready to use.
 func NewSlotLayout() *SlotLayout {
-	return &SlotLayout{index: map[string]int{}}
+	return &SlotLayout{}
 }
 
 // Intern returns the slot of the variable with the given name,
@@ -59,19 +65,39 @@ func NewSlotLayout() *SlotLayout {
 // mirroring Dict.InternVar.
 func (l *SlotLayout) Intern(name string) int {
 	name = strings.TrimPrefix(name, "?")
-	if s, ok := l.index[name]; ok {
+	if s, ok := l.slot(name); ok {
 		return s
 	}
 	s := len(l.names)
-	l.index[name] = s
 	l.names = append(l.names, name)
+	switch {
+	case l.index != nil:
+		l.index[name] = s
+	case len(l.names) > layoutScanMax:
+		l.index = make(map[string]int, 2*len(l.names))
+		for i, n := range l.names {
+			l.index[n] = i
+		}
+	}
 	return s
 }
 
 // Slot returns the slot of a variable name without interning.
 func (l *SlotLayout) Slot(name string) (int, bool) {
-	s, ok := l.index[strings.TrimPrefix(name, "?")]
-	return s, ok
+	return l.slot(strings.TrimPrefix(name, "?"))
+}
+
+func (l *SlotLayout) slot(name string) (int, bool) {
+	if l.index != nil {
+		s, ok := l.index[name]
+		return s, ok
+	}
+	for s, n := range l.names {
+		if n == name {
+			return s, true
+		}
+	}
+	return 0, false
 }
 
 // Width returns the number of slots (the row length).
@@ -116,7 +142,7 @@ func (l *SlotLayout) DecodeRow(d *Dict, r Row) Mapping {
 func (l *SlotLayout) EncodeMapping(d *Dict, m Mapping) (Row, bool) {
 	r := l.NewRow()
 	for name, val := range m {
-		s, ok := l.index[strings.TrimPrefix(name, "?")]
+		s, ok := l.Slot(name)
 		if !ok {
 			return nil, false
 		}

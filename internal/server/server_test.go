@@ -226,6 +226,42 @@ func TestPostForms(t *testing.T) {
 	}
 }
 
+// TestOversizedQueryBody413 pins the request-body cap: a POSTed query
+// larger than MaxQueryBytes is refused with 413 and a JSON error body,
+// in both POST shapes, and counted as rejected.
+func TestOversizedQueryBody413(t *testing.T) {
+	const limit = 1 << 10
+	s, base := startServer(t, Config{Engine: testEngine(t, 3), MaxQueryBytes: limit})
+	huge := "(?x p ?y)" + strings.Repeat(" ", 2*limit)
+	for i, post := range []func() (*http.Response, error){
+		func() (*http.Response, error) {
+			return http.PostForm(base+"/sparql", url.Values{"query": {huge}})
+		},
+		func() (*http.Response, error) {
+			return http.Post(base+"/sparql", "application/sparql-query", strings.NewReader(huge))
+		},
+	} {
+		resp, err := post()
+		if err != nil {
+			t.Fatalf("POST %d: %v", i, err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("POST %d: status = %d, want 413 (body %q)", i, resp.StatusCode, body)
+		}
+		var doc struct {
+			Error string `json:"error"`
+		}
+		if err := json.Unmarshal(body, &doc); err != nil || !strings.Contains(doc.Error, "exceeds") {
+			t.Fatalf("POST %d: 413 body %q is not a JSON error naming the cap (%v)", i, body, err)
+		}
+	}
+	if got := s.rejected.Load(); got != 2 {
+		t.Fatalf("rejected = %d, want 2", got)
+	}
+}
+
 // TestLimitOffsetAndTSV pins the pagination parameters and the TSV
 // serialisation.
 func TestLimitOffsetAndTSV(t *testing.T) {

@@ -24,8 +24,9 @@ import (
 //
 // with every stage converting its failures into an HTTP status the
 // client can act on: 503 (shed or draining, with Retry-After),
-// 400 (malformed protocol or query), 422 (parses but is not
-// well-designed), 500 (isolated evaluation panic).
+// 400 (malformed protocol or query), 413 (POSTed query body over
+// MaxQueryBytes), 422 (parses but is not well-designed), 500 (isolated
+// evaluation panic).
 
 // httpError is an error with a decided status code; parseRequest and
 // prepare return it so handleSparql replies uniformly.
@@ -38,6 +39,17 @@ func (e *httpError) Error() string { return e.msg }
 
 func badRequestf(format string, args ...any) *httpError {
 	return &httpError{code: http.StatusBadRequest, msg: fmt.Sprintf(format, args...)}
+}
+
+// bodyError classifies a failed read of a POSTed query body: past the
+// MaxQueryBytes cap it is 413, anything else is a malformed body (400).
+func bodyError(what string, err error) *httpError {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		return &httpError{code: http.StatusRequestEntityTooLarge,
+			msg: fmt.Sprintf("query body exceeds %d bytes", tooBig.Limit)}
+	}
+	return badRequestf("%s: %v", what, err)
 }
 
 // request is one parsed /sparql request.
@@ -67,13 +79,13 @@ func (s *Server) parseRequest(w http.ResponseWriter, r *http.Request) (request, 
 		switch ct {
 		case "application/x-www-form-urlencoded", "":
 			if err := r.ParseForm(); err != nil {
-				return req, badRequestf("bad form body: %v", err)
+				return req, bodyError("bad form body", err)
 			}
 			req.query = r.PostForm.Get("query")
 		case "application/sparql-query":
 			body, err := io.ReadAll(r.Body)
 			if err != nil {
-				return req, badRequestf("reading query body: %v", err)
+				return req, bodyError("reading query body", err)
 			}
 			req.query = string(body)
 		default:
