@@ -30,9 +30,13 @@ type compiledNode struct {
 	idx      int // dense index across the whole forest compilation
 	prog     *hom.RowProgram
 	children []*compiledNode
-	// subSlots are the layout slots of vars(subtree rooted here),
-	// sorted ascending: exactly the slots a maximal extension through
-	// this child may bind beyond the current partial solution.
+	// subSlots are the fresh slots of the subtree rooted here — its
+	// variables minus the entry-bound ones (accumulated ancestor
+	// variables), sorted ascending: exactly the slots a maximal
+	// extension through this child may bind beyond the current partial
+	// solution, and the stride of the node's solution arena. A child
+	// whose variables are all entry-bound has stride 0 and still up to
+	// one solution.
 	subSlots []int32
 	// deferred holds the node's filter conjuncts that could not be
 	// pushed into prog (they reach into optional descendants, or
@@ -194,9 +198,11 @@ func (fp *ForestProgram) compileNode(n *ptree.Node, entry []int32) *compiledNode
 	}
 	cn.subSlots = make([]int32, 0, len(slots))
 	for s := range slots {
-		cn.subSlots = append(cn.subSlots, s)
+		if !slices.Contains(entry, s) {
+			cn.subSlots = append(cn.subSlots, s)
+		}
 	}
-	sort.Slice(cn.subSlots, func(i, j int) bool { return cn.subSlots[i] < cn.subSlots[j] })
+	slices.Sort(cn.subSlots)
 	return cn
 }
 
@@ -213,29 +219,55 @@ func (fp *ForestProgram) Layout() *rdf.SlotLayout {
 // projection (complete after compilation).
 func (fp *ForestProgram) FullLayout() *rdf.SlotLayout { return fp.layout }
 
-// enumState is the per-enumeration scratch: one RowSearcher per node
-// and the single row the partial solution lives in. stop, when non-nil,
-// is polled at every yield boundary; once it reports true the whole
-// enumeration unwinds as if yield had returned false — this is how
-// context cancellation reaches the innermost recursion without the hot
-// path paying for a channel read per row when no context is attached.
+// enumState is the per-enumeration scratch: one RowSearcher per node,
+// the single row the partial solution lives in, and one solution
+// arena per node, allocated on the first childSolutions call so an
+// enumeration that never reaches a child pays nothing for them. stop,
+// when non-nil, is polled at every yield boundary; once it reports
+// true the whole enumeration unwinds as if yield had returned false —
+// this is how context cancellation reaches the innermost recursion.
+// Every enumeration, and every parallel worker, owns its state.
 type enumState struct {
 	fp        *ForestProgram
 	searchers []*hom.RowSearcher
 	row       rdf.Row
 	stop      func() bool
+	sols      []childArena // indexed by compiledNode.idx
+}
+
+// childArena holds one node's solutions under the current row: n
+// solutions of len(subSlots) values each, back to back in vals.
+// collect is the node's search callback appending to it, built once
+// per state so that repeated childSolutions calls allocate nothing.
+type childArena struct {
+	vals    []rdf.TermID
+	n       int
+	collect func() bool
 }
 
 func (st *enumState) stopped() bool { return st.stop != nil && st.stop() }
 
-// ctxStop returns the stop predicate for ctx, or nil when ctx can never
-// be cancelled (context.Background and friends), keeping the
+// ctxStop returns the stop predicate for ctx: a non-blocking receive
+// on ctx.Done(), captured once, so a poll takes no lock (ctx.Err()
+// takes the context's mutex on every call). It returns nil when ctx
+// can never be cancelled (context.Background and friends), keeping the
 // uncancellable path free of per-yield checks.
 func ctxStop(ctx context.Context) func() bool {
-	if ctx == nil || ctx.Done() == nil {
+	if ctx == nil {
 		return nil
 	}
-	return func() bool { return ctx.Err() != nil }
+	done := ctx.Done()
+	if done == nil {
+		return nil
+	}
+	return func() bool {
+		select {
+		case <-done:
+			return true
+		default:
+			return false
+		}
+	}
 }
 
 func (fp *ForestProgram) newState() *enumState {
@@ -303,25 +335,26 @@ func (st *enumState) extendThrough(cs []*compiledNode, i int, yield func(rdf.Row
 		return yield(st.row)
 	}
 	c := cs[i]
-	sols := st.childSolutions(c)
-	if len(sols) == 0 {
+	vals, n := st.childSolutions(c)
+	if n == 0 {
 		return st.extendThrough(cs, i+1, yield)
 	}
-	row := st.row
-	for _, vals := range sols {
+	row, w := st.row, len(c.subSlots)
+	for k := 0; k < n; k++ {
+		sol := vals[k*w : k*w+w]
 		// Bind the slots this solution adds over the current row. By
 		// connectivity the solutions of later children touch disjoint
 		// fresh slots, so binding is the slot-wise cross product.
 		for j, s := range c.subSlots {
-			if vals[j] != rdf.Unbound && row[s] == rdf.Unbound {
-				row[s] = vals[j]
+			if sol[j] != rdf.Unbound && row[s] == rdf.Unbound {
+				row[s] = sol[j]
 			} else {
-				vals[j] = rdf.Unbound // mark: not bound by this application
+				sol[j] = rdf.Unbound // mark: not bound by this application
 			}
 		}
 		more := st.extendThrough(cs, i+1, yield)
 		for j, s := range c.subSlots {
-			if vals[j] != rdf.Unbound {
+			if sol[j] != rdf.Unbound {
 				row[s] = rdf.Unbound
 			}
 		}
@@ -336,23 +369,33 @@ func (st *enumState) extendThrough(cs []*compiledNode, i int, yield func(rdf.Row
 // child c under the current row: for each homomorphic extension ν of
 // pat(c) (bound slots act as constants), the recursive maximal
 // extensions through c's children. Each solution is the snapshot of
-// the row's values over c.subSlots.
-func (st *enumState) childSolutions(c *compiledNode) [][]rdf.TermID {
-	var out [][]rdf.TermID
-	st.searchers[c.idx].Run(st.row, func() bool {
+// the row's values over c.subSlots, appended to c's arena; it returns
+// the arena and the solution count (the count, not the length, since
+// stride 0 still admits one solution). The next call for c resets the
+// arena, which is safe: extendThrough consumes c's solutions fully
+// before c's parent can search again — the only way back here — and
+// c's descendants are other nodes with arenas of their own.
+func (st *enumState) childSolutions(c *compiledNode) ([]rdf.TermID, int) {
+	if st.sols == nil {
+		st.sols = make([]childArena, st.fp.nodes)
+	}
+	a := &st.sols[c.idx]
+	if a.collect == nil {
+		snap := st.deferredFiltered(c, func(rdf.Row) bool {
+			for _, s := range c.subSlots {
+				a.vals = append(a.vals, st.row[s])
+			}
+			a.n++
+			return true
+		})
 		// The inner yield always continues, so extendThrough returns
 		// false only when the state has been stopped — propagate that
 		// so the searcher unwinds instead of materialising the rest.
-		return st.extendThrough(c.children, 0, st.deferredFiltered(c, func(rdf.Row) bool {
-			snap := make([]rdf.TermID, len(c.subSlots))
-			for j, s := range c.subSlots {
-				snap[j] = st.row[s]
-			}
-			out = append(out, snap)
-			return true
-		}))
-	})
-	return out
+		a.collect = func() bool { return st.extendThrough(c.children, 0, snap) }
+	}
+	a.vals, a.n = a.vals[:0], 0
+	st.searchers[c.idx].Run(st.row, a.collect)
+	return a.vals, a.n
 }
 
 // Rows streams ⟦F⟧G: every solution row exactly once, until yield
@@ -364,13 +407,14 @@ func (fp *ForestProgram) Rows(yield func(rdf.Row) bool) {
 	fp.RowsContext(context.Background(), yield)
 }
 
-// RowsContext is Rows with cooperative cancellation: the context is
-// polled at every yield boundary, so cancelling it stops the
-// enumeration as promptly as yield returning false would — the same
-// contract, extended to ctx.Done(). It returns ctx.Err(), i.e. nil on
-// a run to exhaustion or an early stop through yield, and the
-// cancellation cause when the context ended the stream. Contexts that
-// can never be cancelled add no per-row overhead.
+// RowsContext is Rows with cooperative cancellation: ctx.Done() is
+// captured once and polled with a non-blocking receive at every yield
+// boundary, so cancelling the context stops the enumeration as
+// promptly as yield returning false would, without taking the
+// context's lock per row. It returns ctx.Err(), i.e. nil on a run to
+// exhaustion or an early stop through yield, and the cancellation
+// cause when the context ended the stream. Contexts that can never be
+// cancelled add no per-row check at all.
 func (fp *ForestProgram) RowsContext(ctx context.Context, yield func(rdf.Row) bool) error {
 	st := fp.newState()
 	st.stop = ctxStop(ctx)
@@ -441,10 +485,11 @@ func (fp *ForestProgram) RowsParallel(ctx context.Context, workers int, yield fu
 		return fp.RowsContext(ctx, yield)
 	}
 	// inner is cancelled either by the caller's ctx or by yield ending
-	// the stream; every worker polls it at yield boundaries.
+	// the stream; every worker polls its Done channel at yield
+	// boundaries.
 	inner, cancel := context.WithCancel(ctx)
 	defer cancel()
-	stop := func() bool { return inner.Err() != nil }
+	stop := ctxStop(inner)
 
 	// Split every root search at its top-level candidates. Trees whose
 	// root program has no branch point (an empty root pattern yields
@@ -482,7 +527,14 @@ func (fp *ForestProgram) RowsParallel(ctx context.Context, workers int, yield fu
 	if workers > len(items) {
 		workers = len(items)
 	}
-	results := make([][]rdf.Row, len(items))
+	// Each item's rows land back to back in one flat batch of stride
+	// w; n counts them, since a zero-width layout still has rows.
+	type batch struct {
+		vals []rdf.TermID
+		n    int
+	}
+	w := fp.layout.Width()
+	results := make([]batch, len(items))
 	ready := make([]chan struct{}, len(items))
 	for i := range ready {
 		ready[i] = make(chan struct{})
@@ -495,13 +547,15 @@ func (fp *ForestProgram) RowsParallel(ctx context.Context, workers int, yield fu
 			defer wg.Done()
 			ws := fp.newState()
 			ws.stop = stop
+			var local batch
+			emit := func(r rdf.Row) bool {
+				local.vals = append(local.vals, r...)
+				local.n++
+				return true
+			}
 			for i := range next {
 				it := items[i]
-				var local []rdf.Row
-				emit := func(r rdf.Row) bool {
-					local = append(local, r.Clone())
-					return true
-				}
+				local = batch{}
 				if it.whole {
 					ws.enumerateTree(it.root, emit)
 				} else {
@@ -540,7 +594,9 @@ merge:
 		case <-inner.Done():
 			break merge
 		}
-		for _, r := range results[i] {
+		b := results[i]
+		for k := 0; k < b.n; k++ {
+			r := rdf.Row(b.vals[k*w : k*w+w : k*w+w])
 			if seen != nil && !seen.Add(r) {
 				continue // duplicate across trees
 			}
@@ -548,7 +604,7 @@ merge:
 				break merge
 			}
 		}
-		results[i] = nil // release the merged batch
+		results[i] = batch{} // release the merged batch
 	}
 	cancel()
 	wg.Wait()

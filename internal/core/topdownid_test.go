@@ -1,9 +1,12 @@
 package core_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
+	"time"
 
+	"wdsparql/internal/bench"
 	"wdsparql/internal/core"
 	"wdsparql/internal/gen"
 	"wdsparql/internal/ptree"
@@ -237,6 +240,92 @@ func TestEnumerateParallelDegenerate(t *testing.T) {
 	for _, w := range []int{1, 2, 8} {
 		if got := core.EnumerateTopDownParallel(ptree.Forest{tr}, g, w).Len(); got != 0 {
 			t.Fatalf("workers=%d: %d rows from unmatchable pattern", w, got)
+		}
+	}
+}
+
+// TestRowsAllocationsFlatInRowCount pins the allocation-free steady
+// state of the row stream: draining a compiled forest allocates a
+// per-enumeration constant (searchers, the working row, the child
+// solution arenas), not something per row — with an uncancellable
+// context and with a cancellable one, whose polling must not allocate
+// either. The graphs are compacted because overlay candidate lookups
+// still allocate per probe.
+func TestRowsAllocationsFlatInRowCount(t *testing.T) {
+	f := ptree.Forest{bench.E9Tree()}
+	for _, tc := range []struct {
+		name string
+		ctx  func() (context.Context, context.CancelFunc)
+	}{
+		{"background", func() (context.Context, context.CancelFunc) { return context.Background(), func() {} }},
+		{"timeout", func() (context.Context, context.CancelFunc) {
+			return context.WithTimeout(context.Background(), time.Hour)
+		}},
+	} {
+		var allocs, rows [2]float64
+		for i, n := range []int{64, 256} {
+			fp := core.CompileForest(f, bench.E9Data(n).Compact())
+			ctx, cancel := tc.ctx()
+			allocs[i] = testing.AllocsPerRun(5, func() {
+				nr := 0
+				if err := fp.RowsContext(ctx, func(rdf.Row) bool { nr++; return true }); err != nil {
+					t.Fatal(err)
+				}
+				rows[i] = float64(nr)
+			})
+			cancel()
+		}
+		t.Logf("%s: %v allocs per drain for %v rows", tc.name, allocs, rows)
+		if rows[1] < 3*rows[0] {
+			t.Fatalf("%s: workload does not scale: %v rows", tc.name, rows)
+		}
+		// Slack for arena and candidate-stack growth: the larger
+		// graph's busiest nodes need a few more doublings.
+		const slack = 8
+		if allocs[1] > allocs[0]+slack {
+			t.Fatalf("%s: allocations grow with the stream: %v allocs for %v rows", tc.name, allocs, rows)
+		}
+	}
+}
+
+// TestZeroStrideChildSolutions covers children whose solution arena
+// has stride 0 — every variable entry-bound, or none at all — and a
+// zero-width layout on the parallel path: such a child still has one
+// solution when it matches, so the count, not the arena length, must
+// drive the extension.
+func TestZeroStrideChildSolutions(t *testing.T) {
+	g := rdf.MustParseGraph("a p b .\nc p d .\ne p f .\na q b .\ne q f .\nb r c .\n").Compact()
+	for _, src := range []string{
+		`((?x p ?y) OPT (?x q ?y))`,
+		`((?x p ?y) OPT (b r c))`,
+		`(((?x p ?y) OPT (?x q ?y)) OPT (?y r ?z))`,
+		`((a p b) OPT (a q b))`,
+	} {
+		p := sparql.MustParse(src)
+		f, err := ptree.WDPF(p)
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		ref := sparql.Eval(p, g)
+		fp := core.CompileForest(f, g)
+		var got []rdf.Mapping
+		fp.Rows(func(r rdf.Row) bool {
+			got = append(got, fp.Layout().DecodeRow(g.Dict(), r))
+			return true
+		})
+		if len(got) != ref.Len() {
+			t.Fatalf("%s: %d rows, compositional %d\nrows=%v\nref=%v", src, len(got), ref.Len(), got, ref.Slice())
+		}
+		for _, mu := range got {
+			if !ref.Contains(mu) {
+				t.Fatalf("%s: row %s not in the compositional reference", src, mu)
+			}
+		}
+		if n := core.Count(f, g); n != ref.Len() {
+			t.Fatalf("%s: Count = %d, compositional %d", src, n, ref.Len())
+		}
+		if n := core.EnumerateTopDownParallel(f, g, 3).Len(); n != ref.Len() {
+			t.Fatalf("%s: parallel %d rows, compositional %d", src, n, ref.Len())
 		}
 	}
 }

@@ -54,48 +54,59 @@ func newEncoder(format string, w *bufio.Writer, layout *wdsparql.SlotLayout, dic
 //
 // The non-standard top-level "truncated" member appears only on
 // streams cut short; the document is always complete, valid JSON.
+// begin renders each slot's binding prefix once; row appends a whole
+// binding into a reused buffer and hands it to the writer in one Write.
 type jsonEncoder struct {
 	w      *bufio.Writer
 	layout *wdsparql.SlotLayout
 	dict   *rdf.Dict
 	n      int
+	keys   [][]byte // per slot: "name":{"type":"uri","value":
+	buf    []byte
 }
 
 func (e *jsonEncoder) contentType() string { return contentTypeJSON }
 
 func (e *jsonEncoder) begin() error {
-	e.w.WriteString(`{"head":{"vars":[`)
-	for s := 0; s < e.layout.Width(); s++ {
+	b := append(e.buf[:0], `{"head":{"vars":[`...)
+	e.keys = make([][]byte, e.layout.Width())
+	for s := range e.keys {
 		if s > 0 {
-			e.w.WriteByte(',')
+			b = append(b, ',')
 		}
-		writeJSONString(e.w, e.layout.Name(s))
+		name := appendJSONString(nil, e.layout.Name(s))
+		b = append(b, name...)
+		e.keys[s] = append(name, `:{"type":"uri","value":`...)
 	}
-	_, err := e.w.WriteString(`]},"results":{"bindings":[`)
+	b = append(b, `]},"results":{"bindings":[`...)
+	e.buf = b
+	_, err := e.w.Write(b)
 	return err
 }
 
 func (e *jsonEncoder) row(r wdsparql.Row) error {
+	b := e.buf[:0]
 	if e.n > 0 {
-		e.w.WriteByte(',')
+		b = append(b, ',')
 	}
 	e.n++
-	e.w.WriteByte('{')
+	b = append(b, '{')
 	first := true
 	for s, v := range r {
 		if v == wdsparql.Unbound {
 			continue
 		}
 		if !first {
-			e.w.WriteByte(',')
+			b = append(b, ',')
 		}
 		first = false
-		writeJSONString(e.w, e.layout.Name(s))
-		e.w.WriteString(`:{"type":"uri","value":`)
-		writeJSONString(e.w, e.dict.StringOf(v))
-		e.w.WriteByte('}')
+		b = append(b, e.keys[s]...)
+		b = appendJSONString(b, e.dict.StringOf(v))
+		b = append(b, '}')
 	}
-	_, err := e.w.WriteString("}")
+	b = append(b, '}')
+	e.buf = b
+	_, err := e.w.Write(b)
 	return err
 }
 
@@ -110,11 +121,13 @@ func (e *jsonEncoder) end(truncated bool) error {
 
 // tsvEncoder streams the SPARQL 1.1 TSV results format: a header line
 // of ?-prefixed variable names, then one line per solution with IRIs
-// in angle brackets and unbound positions empty.
+// in angle brackets and unbound positions empty. Like the JSON
+// encoder, row renders the whole line into a reused buffer first.
 type tsvEncoder struct {
 	w      *bufio.Writer
 	layout *wdsparql.SlotLayout
 	dict   *rdf.Dict
+	buf    []byte
 }
 
 func (e *tsvEncoder) contentType() string { return contentTypeTSV }
@@ -131,24 +144,27 @@ func (e *tsvEncoder) begin() error {
 }
 
 func (e *tsvEncoder) row(r wdsparql.Row) error {
+	b := e.buf[:0]
 	for s, v := range r {
 		if s > 0 {
-			e.w.WriteByte('\t')
+			b = append(b, '\t')
 		}
 		if v != wdsparql.Unbound {
-			e.w.WriteByte('<')
-			writeTSVValue(e.w, e.dict.StringOf(v))
-			e.w.WriteByte('>')
+			b = append(b, '<')
+			b = appendTSVValue(b, e.dict.StringOf(v))
+			b = append(b, '>')
 		}
 	}
-	return e.w.WriteByte('\n')
+	b = append(b, '\n')
+	e.buf = b
+	_, err := e.w.Write(b)
+	return err
 }
 
-// writeTSVValue writes an IRI into a TSV field with the SPARQL 1.1 TSV
+// appendTSVValue appends an IRI as a TSV field with the SPARQL 1.1 TSV
 // escapes: a raw tab or newline inside a value would split the field or
-// the row, so \t, \n, \r and \ itself are backslash-escaped. The
-// escape-free common case is a single write.
-func writeTSVValue(w *bufio.Writer, s string) {
+// the row, so \t, \n, \r and \ itself are backslash-escaped.
+func appendTSVValue(b []byte, s string) []byte {
 	start := 0
 	for i := 0; i < len(s); i++ {
 		var esc byte
@@ -164,12 +180,10 @@ func writeTSVValue(w *bufio.Writer, s string) {
 		default:
 			continue
 		}
-		w.WriteString(s[start:i])
-		w.WriteByte('\\')
-		w.WriteByte(esc)
+		b = append(append(b, s[start:i]...), '\\', esc)
 		start = i + 1
 	}
-	w.WriteString(s[start:])
+	return append(b, s[start:]...)
 }
 
 func (e *tsvEncoder) end(bool) error {
@@ -178,20 +192,19 @@ func (e *tsvEncoder) end(bool) error {
 	return nil
 }
 
-// writeJSONString writes s as a JSON string literal. Plain ASCII — the
-// shape of virtually every IRI and variable name — is written directly;
-// anything needing escapes falls back to encoding/json.
-func writeJSONString(w *bufio.Writer, s string) {
+// appendJSONString appends s as a JSON string literal. Plain ASCII —
+// the shape of virtually every IRI and variable name — is copied
+// directly; anything needing escapes falls back to encoding/json.
+func appendJSONString(b []byte, s string) []byte {
 	for i := 0; i < len(s); i++ {
 		if c := s[i]; c < 0x20 || c == '"' || c == '\\' || c >= 0x80 {
-			b, _ := json.Marshal(s)
-			w.Write(b)
-			return
+			q, _ := json.Marshal(s)
+			return append(b, q...)
 		}
 	}
-	w.WriteByte('"')
-	w.WriteString(s)
-	w.WriteByte('"')
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }
 
 // jsonErrorBody renders a one-field JSON error document.

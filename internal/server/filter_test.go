@@ -1,6 +1,8 @@
 package server
 
 import (
+	"bufio"
+	"bytes"
 	"io"
 	"net/http"
 	"net/url"
@@ -9,6 +11,7 @@ import (
 	"testing"
 
 	"wdsparql"
+	"wdsparql/internal/rdf"
 )
 
 // End-to-end coverage for the SELECT/FILTER surface and the TSV value
@@ -55,6 +58,96 @@ func TestTSVEscapesHostileIRIs(t *testing.T) {
 		if n := strings.Count(rows[i], "\t"); n != 1 {
 			t.Fatalf("row %d has %d field separators: %q", i, n, rows[i])
 		}
+	}
+}
+
+// TestJSONEscapesHostileIRIs is the JSON twin of
+// TestTSVEscapesHostileIRIs: values carrying quotes, backslashes,
+// control characters and non-ASCII bytes must come back from a JSON
+// decoder exactly as stored, and a plain stream with an unbound slot
+// must keep its exact bytes, as must the truncation epilogue.
+func TestJSONEscapesHostileIRIs(t *testing.T) {
+	hostile := []string{
+		`q"uote`,
+		`back\slash`,
+		"ctl\x01\x1fchar",
+		"tab\tnl\n",
+		"caf\u00e9/\u65e5\u672c",
+		"<&>",
+	}
+	g := wdsparql.NewGraph()
+	for _, v := range hostile {
+		g.AddTriple(v, "p", v+"!")
+	}
+	_, base := startServer(t, Config{Engine: wdsparql.NewEngine(g)})
+	resp, err := http.Get(sparqlURL(base, `(?x p ?y)`, nil))
+	if err != nil {
+		t.Fatalf("GET: %v", err)
+	}
+	doc := decodeResults(t, resp.Body)
+	resp.Body.Close()
+	if len(doc.Results.Bindings) != len(hostile) {
+		t.Fatalf("%d bindings, want %d", len(doc.Results.Bindings), len(hostile))
+	}
+	var got []string
+	for _, b := range doc.Results.Bindings {
+		if b["x"].Type != "uri" || b["y"].Type != "uri" || b["y"].Value != b["x"].Value+"!" {
+			t.Fatalf("binding did not round-trip: %+v", b)
+		}
+		got = append(got, b["x"].Value)
+	}
+	sort.Strings(got)
+	want := append([]string(nil), hostile...)
+	sort.Strings(want)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("value %d = %q, want %q", i, got[i], want[i])
+		}
+	}
+
+	// The exact bytes of a plain stream: two rows, the second leaving
+	// ?z unbound (omitted from its binding).
+	_, base = startServer(t, Config{Engine: wdsparql.NewEngine(
+		wdsparql.MustParseGraph("a p b .\nc p d .\nb q e .\n"))})
+	resp, err = http.Get(sparqlURL(base, `((?x p ?y) OPT (?y q ?z))`, nil))
+	if err != nil {
+		t.Fatalf("GET: %v", err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatalf("read: %v", err)
+	}
+	const golden = `{"head":{"vars":["x","y","z"]},"results":{"bindings":[` +
+		`{"x":{"type":"uri","value":"a"},"y":{"type":"uri","value":"b"},"z":{"type":"uri","value":"e"}},` +
+		`{"x":{"type":"uri","value":"c"},"y":{"type":"uri","value":"d"}}]}}` + "\n"
+	if string(body) != golden {
+		t.Fatalf("body =\n%s\nwant\n%s", body, golden)
+	}
+
+	// The truncation epilogue, straight off the encoder: a stream cut
+	// by a deadline closes with the in-band marker.
+	var buf bytes.Buffer
+	bw := bufio.NewWriter(&buf)
+	layout := rdf.NewSlotLayout()
+	layout.Intern("x")
+	layout.Intern("y")
+	d := rdf.NewDict()
+	enc := newEncoder(formatJSON, bw, layout, d)
+	if err := enc.begin(); err != nil {
+		t.Fatal(err)
+	}
+	if err := enc.row(rdf.Row{d.InternIRI("a"), rdf.Unbound}); err != nil {
+		t.Fatal(err)
+	}
+	if err := enc.end(true); err != nil {
+		t.Fatal(err)
+	}
+	bw.Flush()
+	const truncated = `{"head":{"vars":["x","y"]},"results":{"bindings":[` +
+		`{"x":{"type":"uri","value":"a"}}]},"truncated":true}` + "\n"
+	if buf.String() != truncated {
+		t.Fatalf("truncated body =\n%s\nwant\n%s", buf.String(), truncated)
 	}
 }
 
